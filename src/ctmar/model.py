@@ -38,7 +38,6 @@ from .tensor import (
     transpose,
 )
 
-LEVELS = 3
 _ALLOWED_RATIOS = (1, 2, 4, 8, 16)
 CKPT_MAGIC = b"MCKP"
 CKPT_VERSION = 1
@@ -200,7 +199,7 @@ class ChannelLayerNorm(Module):
         self.eps = eps
 
     def forward(self, x: Tensor) -> Tensor:
-        return layernorm_channels(x, self.gamma, None, self.eps)
+        return layernorm_channels(x, self.gamma, self.eps)
 
 
 class ChannelAttention(Module):
@@ -268,7 +267,7 @@ class ChannelAttention(Module):
 
 
 class ConvFeedForward(Module):
-    """Expand channels, GELU, wide depth-wise conv, GELU, shrink, plus skip."""
+    """Expand channels, GELU, wide depth-wise conv, GELU, shrink."""
 
     def __init__(self, rng, channels: int, expansion: float, kernel: int,
                  dtype: str = "f32"):
@@ -277,13 +276,10 @@ class ConvFeedForward(Module):
         self.conv_dw = Conv2d(rng, hidden, hidden, kernel, groups=hidden, dtype=dtype)
         self.conv_out = Conv2d(rng, hidden, channels, 1, dtype=dtype)
 
-    def body(self, x: Tensor) -> Tensor:
+    def forward(self, x: Tensor) -> Tensor:
         y = gelu(self.conv_in.forward(x))
         y = gelu(self.conv_dw.forward(y))
         return self.conv_out.forward(y)
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x + self.body(x)
 
 
 class TransformerBlock(Module):
@@ -300,7 +296,7 @@ class TransformerBlock(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         x = x + self.attn.forward(self.norm1.forward(x))
-        return x + self.ffn.body(self.norm2.forward(x))
+        return x + self.ffn.forward(self.norm2.forward(x))
 
 
 class Downsample(Module):
@@ -467,8 +463,3 @@ def load_checkpoint(path: Union[str, Path],
             raise CheckpointError(f"{path}: missing parameters {sorted(missing)[:3]}...")
     return model
 
-
-def export_config_text(config: ModelConfig) -> str:
-    """Key-value structured text form of a config."""
-    lines = [f"{key} = {value}" for key, value in sorted(config.to_dict().items())]
-    return "\n".join(lines) + "\n"

@@ -24,8 +24,6 @@ from . import io as tio
 MU_WATER = 0.0192          # attenuation of water, 1/mm
 HU_MIN = -1000.0
 HU_MAX = 2800.0
-HU_WINDOW = HU_MAX - HU_MIN
-METAL_THRESHOLD = 2800.0
 FIELD_MM = 160.0           # physical field of view represented by a slice
 
 
@@ -64,7 +62,6 @@ class SimParams:
     n_detectors: Optional[int] = None    # default: image diagonal
     metal_hu: float = 30000.0            # pre-clip insertion value
     beam_hardening: float = 0.3
-    metal_threshold: float = METAL_THRESHOLD
 
     def __post_init__(self):
         if self.n_angles < 8:

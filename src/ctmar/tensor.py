@@ -92,12 +92,6 @@ class Tensor:
         grad = ", grad" if self.grad is not None else ""
         return f"Tensor(shape={self.shape}, dtype={self.dtype_name}{grad})"
 
-    def copy(self) -> "Tensor":
-        return Tensor(self.data.copy(), requires_grad=self.requires_grad)
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
     # -- autodiff engine -----------------------------------------------------
 
     def _record(self, parents: Sequence["Tensor"], backward_fn: Callable) -> "Tensor":
@@ -165,45 +159,14 @@ class Tensor:
     def __add__(self, other):
         return add(self, _wrap(other, self))
 
-    def __radd__(self, other):
-        return add(_wrap(other, self), self)
-
     def __sub__(self, other):
         return sub(self, _wrap(other, self))
-
-    def __rsub__(self, other):
-        return sub(_wrap(other, self), self)
 
     def __mul__(self, other):
         return mul(self, _wrap(other, self))
 
-    def __rmul__(self, other):
-        return mul(_wrap(other, self), self)
-
     def __neg__(self):
         return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def sum(self):
-        return tsum(self)
-
-    def mean(self):
-        return tmean(self)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def transpose(self, axes=None):
-        return transpose(self, axes)
-
-    def swap_last_two(self):
-        axes = list(range(self.ndim))
-        axes[-1], axes[-2] = axes[-2], axes[-1]
-        return transpose(self, tuple(axes))
 
 
 def _wrap(value, like: Tensor) -> Tensor:
@@ -355,12 +318,11 @@ def softmax(a: Tensor, axis: int) -> Tensor:
     return out._record((a,), bw)
 
 
-def layernorm_channels(a: Tensor, gamma: Tensor, beta: Optional[Tensor] = None,
-                       eps: float = 1e-6) -> Tensor:
-    """Standardize the channel vector at every spatial location.
+def layernorm_channels(a: Tensor, gamma: Tensor, eps: float = 1e-6) -> Tensor:
+    """Standardize the channel vector at every spatial location, then scale.
 
-    ``a`` is (C,H,W) or (N,C,H,W); ``gamma`` (and optional ``beta``)
-    are per-channel (C,).
+    ``a`` is (C,H,W) or (N,C,H,W); ``gamma`` is per-channel (C,). There
+    is no bias term.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -370,9 +332,7 @@ def layernorm_channels(a: Tensor, gamma: Tensor, beta: Optional[Tensor] = None,
     c = a.shape[ch_axis]
     if gamma.shape != (c,):
         raise ShapeError(f"gamma shape {gamma.shape} does not match {c} channels")
-    if beta is not None and beta.shape != (c,):
-        raise ShapeError(f"beta shape {beta.shape} does not match {c} channels")
-    _check_same_dtype(a, gamma, *([beta] if beta is not None else []))
+    _check_same_dtype(a, gamma)
 
     x = a.data
     expand = (slice(None), None, None)  # (C,) -> (C,1,1), broadcasts for 3-D and 4-D
@@ -382,8 +342,6 @@ def layernorm_channels(a: Tensor, gamma: Tensor, beta: Optional[Tensor] = None,
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
     y = xhat * gamma.data[expand]
-    if beta is not None:
-        y = y + beta.data[expand]
     out = Tensor(y.astype(x.dtype, copy=False))
 
     reduce_axes = tuple(i for i in range(a.ndim) if i != ch_axis)
@@ -393,14 +351,9 @@ def layernorm_channels(a: Tensor, gamma: Tensor, beta: Optional[Tensor] = None,
         m1 = dxhat.mean(axis=ch_axis, keepdims=True)
         m2 = (dxhat * xhat).mean(axis=ch_axis, keepdims=True)
         dx = inv * (dxhat - m1 - xhat * m2)
-        dgamma = (g * xhat).sum(axis=reduce_axes)
-        dbeta = g.sum(axis=reduce_axes) if beta is not None else None
-        if beta is not None:
-            return dx, dgamma, dbeta
-        return dx, dgamma
+        return dx, (g * xhat).sum(axis=reduce_axes)
 
-    parents = (a, gamma) if beta is None else (a, gamma, beta)
-    return out._record(parents, bw)
+    return out._record((a, gamma), bw)
 
 
 # -- matmul -------------------------------------------------------------------
@@ -503,8 +456,9 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     """2-D convolution (cross-correlation) with square odd kernels.
 
     ``x`` is (C_in,H,W) or (N,C_in,H,W); ``weight`` is
-    (C_out, C_in/groups, k, k). Depth-wise means
-    groups == C_in == C_out. Partial sums accumulate in f64.
+    (C_out, C_in/groups, k, k). Two groupings are supported: dense
+    (groups == 1) and depth-wise (groups == C_in == C_out); any other
+    ``groups`` raises ShapeError. Partial sums accumulate in f64.
     """
     _check_same_dtype(x, weight, *([bias] if bias is not None else []))
     batched = _split_batch(x.shape, 3)
@@ -517,8 +471,10 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
         raise ShapeError(f"kernel extent must be odd, got {k}")
     if stride < 1 or padding < 0 or groups < 1:
         raise ValueError("stride >= 1, padding >= 0, groups >= 1 required")
-    if c_in % groups or c_out % groups:
-        raise ShapeError(f"groups={groups} does not divide channels {c_in}->{c_out}")
+    depthwise = groups == c_in == c_out
+    if groups != 1 and not depthwise:
+        raise ShapeError(f"groups={groups} is neither 1 nor depth-wise for channels "
+                         f"{c_in}->{c_out}")
     if c_in_g != c_in // groups:
         raise ShapeError(f"weight expects {c_in_g * groups} input channels, input has {c_in}")
     if bias is not None and bias.shape != (c_out,):
@@ -534,7 +490,6 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     else:
         xp = xd
 
-    depthwise = groups == c_in == c_out
     acc = np.zeros((n, c_out, ho, wo), dtype=np.float64)
     wd = weight.data
     for di in range(k):
@@ -542,13 +497,9 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
             xs = xp[:, :, di:di + stride * ho:stride, dj:dj + stride * wo:stride]
             if depthwise:
                 acc += xs * wd[:, 0, di, dj][None, :, None, None]
-            elif groups == 1:
+            else:
                 acc += np.matmul(wd[:, :, di, dj],
                                  xs.reshape(n, c_in, ho * wo)).reshape(n, c_out, ho, wo)
-            else:
-                xg = xs.reshape(n, groups, c_in_g, ho * wo)
-                wg = wd.reshape(groups, c_out // groups, c_in_g, k, k)[:, :, :, di, dj]
-                acc += np.matmul(wg, xg).reshape(n, c_out, ho, wo)
     if bias is not None:
         acc += bias.data.astype(np.float64)[None, :, None, None]
     out_data = acc.astype(dt, copy=False)
@@ -565,18 +516,11 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
                 if depthwise:
                     gw[:, 0, di, dj] = np.einsum("nchw,nchw->c", gd, xs)
                     target += gd * wd[:, 0, di, dj][None, :, None, None]
-                elif groups == 1:
+                else:
                     gr = gd.reshape(n, c_out, ho * wo)
                     xr = xs.reshape(n, c_in, ho * wo)
                     gw[:, :, di, dj] = np.matmul(gr, xr.transpose(0, 2, 1)).sum(axis=0)
                     target += np.matmul(wd[:, :, di, dj].T, gr).reshape(n, c_in, ho, wo)
-                else:
-                    gr = gd.reshape(n, groups, c_out // groups, ho * wo)
-                    xr = xs.reshape(n, groups, c_in_g, ho * wo)
-                    gw.reshape(groups, c_out // groups, c_in_g, k, k)[:, :, :, di, dj] = \
-                        np.matmul(gr, xr.transpose(0, 1, 3, 2)).sum(axis=0)
-                    wg = wd.reshape(groups, c_out // groups, c_in_g, k, k)[:, :, :, di, dj]
-                    target += np.matmul(np.swapaxes(wg, -1, -2), gr).reshape(n, c_in, ho, wo)
         if padding:
             gx = gxp[:, :, padding:padding + h, padding:padding + w]
         else:
@@ -596,6 +540,23 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
 # -- gradient oracle -------------------------------------------------------------
 
 
+def central_difference(f: Callable[[], float], arr: np.ndarray, index: int,
+                       h: float) -> float:
+    """(f() at arr + h e_index - f() at arr - h e_index) / 2h.
+
+    ``arr`` is C-contiguous and is perturbed in place at flat position
+    ``index``, which ``f`` must read; the element is restored afterwards.
+    """
+    flat = arr.reshape(-1)
+    orig = flat[index]
+    flat[index] = orig + h
+    fp = f()
+    flat[index] = orig - h
+    fm = f()
+    flat[index] = orig
+    return (fp - fm) / (2.0 * h)
+
+
 def finite_diff_grad(f: Callable[[Tensor], float], x: Tensor, h: float = 1e-5) -> np.ndarray:
     """Central-difference gradient of a tensor-to-scalar function.
 
@@ -604,21 +565,14 @@ def finite_diff_grad(f: Callable[[Tensor], float], x: Tensor, h: float = 1e-5) -
     """
     if h <= 0:
         raise ValueError("h must be positive")
+    base = x.data.copy()
 
-    def evaluate(arr: np.ndarray) -> float:
-        r = f(Tensor(arr))
+    def evaluate() -> float:
+        r = f(Tensor(base))
         return r.item() if isinstance(r, Tensor) else float(r)
 
-    base = x.data.copy()
     grad = np.zeros_like(base)
-    flat = base.reshape(-1)
     gflat = grad.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + h
-        fp = evaluate(base)
-        flat[i] = orig - h
-        fm = evaluate(base)
-        flat[i] = orig
-        gflat[i] = (fp - fm) / (2.0 * h)
+    for i in range(base.size):
+        gflat[i] = central_difference(evaluate, base, i, h)
     return grad

@@ -20,7 +20,7 @@ import numpy as np
 from . import metrics
 from .model import MARNet, ModelConfig, build_model, save_checkpoint
 from .simulate import DatasetManifest, load_manifest, load_pair
-from .tensor import Tensor, tabs, tmean
+from .tensor import Tensor, central_difference, tabs, tmean
 
 NORM_SCALE = 1.0 / 4096.0          # exact in binary floating point
 HU_DATA_RANGE = 3800.0             # the clipped scanner window
@@ -287,13 +287,7 @@ def gradient_check(seed: int = 0, n_samples: int = 50, size: int = 16,
     for idx in picks:
         name, tensor, i = flat_index[idx]
         analytic = float(tensor.grad.ravel()[i])
-        orig = float(tensor.data.ravel()[i])
-        tensor.data.ravel()[i] = orig + h
-        f_plus = loss_value()
-        tensor.data.ravel()[i] = orig - h
-        f_minus = loss_value()
-        tensor.data.ravel()[i] = orig
-        numeric = (f_plus - f_minus) / (2.0 * h)
+        numeric = central_difference(loss_value, tensor.data, i, h)
         # the 1e-6 floor reflects the f64 central-difference noise floor
         # (~1e-12 absolute); below it, "relative" error is meaningless
         rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-6)

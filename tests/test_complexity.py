@@ -12,6 +12,7 @@ from ctmar.complexity import (
     reduction_variants,
 )
 from ctmar.model import ModelConfig, build_model, preset
+from ctmar.tensor import Tensor
 
 
 SMALL = ModelConfig(base_channels=16, num_blocks=(1, 1, 1, 1), num_heads=(1, 1, 1, 1))
@@ -119,6 +120,49 @@ class TestCrossChecks:
     ])
     def test_estimate_matches_built_model(self, cfg):
         assert estimate_flops(cfg, 64, 64).params == count_params(build_model(cfg))
+
+    @pytest.mark.parametrize("cfg", [SMALL, preset("T")], ids=["SMALL", "T"])
+    def test_executed_macs_match_breakdown(self, cfg, monkeypatch):
+        """MACs counted from the ops a real 32x32 forward runs, per breakdown key.
+
+        conv2d counts output size x C_in/groups x k^2, matmul output size
+        x K, and gelu, layernorm and softmax one unit per output element.
+        """
+        import ctmar.model as model_module
+
+        counts = {}
+        keys = [None]      # breakdown key of the open top-level module
+
+        def counted(fn, per_output):
+            def wrapper(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                counts[keys[-1]] = counts.get(keys[-1], 0) + out.size * per_output(*args)
+                return out
+            return wrapper
+
+        monkeypatch.setattr(model_module, "conv2d", counted(
+            model_module.conv2d, lambda x, weight, *rest: int(np.prod(weight.shape[1:]))))
+        monkeypatch.setattr(model_module, "matmul", counted(
+            model_module.matmul, lambda a, b: a.shape[-1]))
+        for name in ("gelu", "layernorm_channels", "softmax"):
+            monkeypatch.setattr(model_module, name, counted(
+                getattr(model_module, name), lambda *args: 1))
+
+        model = build_model(cfg)
+        estimate = estimate_flops(cfg, 32, 32).breakdown
+        for key in estimate:
+            part = getattr(model, key)
+            for module in part if isinstance(part, list) else [part]:
+                def forward(x, _inner=module.forward, _key=key):
+                    keys.append(_key)
+                    try:
+                        return _inner(x)
+                    finally:
+                        keys.pop()
+
+                module.forward = forward
+        model.forward(Tensor(np.zeros((1, 1, 32, 32), dtype=np.float32)))
+        assert counts == {key: flops for key, (_, flops) in estimate.items()}
 
     def test_indivisible_resolution_rejected(self):
         with pytest.raises(ValueError):

@@ -72,10 +72,8 @@ def test_softmax(rng):
 def test_layernorm(rng):
     x = rng.normal(size=(4, 3, 3))
     gamma = rng.normal(size=4)
-    beta = rng.normal(size=4)
     w = rng.normal(size=(4, 3, 3))
-    check_grad(lambda a, g, b: tsum(layernorm_channels(a, g, b) * Tensor(w)),
-               x, gamma, beta)
+    check_grad(lambda a, g: tsum(layernorm_channels(a, g) * Tensor(w)), x, gamma)
 
 
 def test_matmul_batched(rng):
@@ -110,7 +108,7 @@ def test_pixel_shuffles(rng):
     check_grad(lambda x: tsum(pixel_shuffle(x, 2) * Tensor(w2)), b)
 
 
-@pytest.mark.parametrize("stride,padding,groups", [(1, 1, 1), (2, 1, 1), (1, 1, 4), (2, 0, 2)])
+@pytest.mark.parametrize("stride,padding,groups", [(1, 1, 1), (2, 1, 1), (1, 1, 4), (2, 0, 4)])
 def test_conv2d_variants(rng, stride, padding, groups):
     x = rng.normal(size=(2, 4, 6, 6))
     w = rng.normal(size=(4, 4 // groups, 3, 3))
