@@ -5,12 +5,15 @@ channel-attention U-Net needs, plus a finite-difference oracle to check
 the analytic gradients against. Every op is numpy-backed and
 deterministic; the recorded tape (parent links plus a backward closure
 on each result tensor) is consumed by a single ``backward()`` call.
+Inside a ``no_grad()`` scope ops record nothing, so inference keeps no
+tape and each op's saved temporaries are freed when it returns.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional, Sequence
+from contextlib import contextmanager
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 from scipy.special import erf
@@ -18,6 +21,7 @@ from scipy.special import erf
 DTYPES = {"f32": np.float32, "f64": np.float64}
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+_recording = True                  # False inside no_grad(); read by Tensor._record
 
 
 class ShapeError(ValueError):
@@ -46,8 +50,9 @@ class Tensor:
 
     ``data`` is always a C-contiguous float32 or float64 ndarray. When
     ``requires_grad`` is set (directly, or inherited from any input of
-    an op), the op records itself on the result so that ``backward()``
-    can later fill ``grad`` on every reachable leaf.
+    an op) and the op runs outside ``no_grad()``, the op records itself
+    on the result so that ``backward()`` can later fill ``grad`` on
+    every reachable leaf.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn", "_consumed")
@@ -95,7 +100,7 @@ class Tensor:
     # -- autodiff engine -----------------------------------------------------
 
     def _record(self, parents: Sequence["Tensor"], backward_fn: Callable) -> "Tensor":
-        if any(p.requires_grad for p in parents):
+        if _recording and any(p.requires_grad for p in parents):
             self.requires_grad = True
             self._parents = tuple(parents)
             self._backward_fn = backward_fn
@@ -167,6 +172,25 @@ class Tensor:
 
     def __neg__(self):
         return neg(self)
+
+
+@contextmanager
+def no_grad() -> Iterator[None]:
+    """Scope in which ops compute the same arrays but record no tape.
+
+    Results get no parents, no backward closure and no
+    ``requires_grad``, so ``backward()`` through them raises GraphError.
+    Parameters keep their ``requires_grad``. The flag is process-wide;
+    the previous state is restored on exit, also on an exception, so
+    scopes nest.
+    """
+    global _recording
+    previous = _recording
+    _recording = False
+    try:
+        yield
+    finally:
+        _recording = previous
 
 
 def _wrap(value, like: Tensor) -> Tensor:
@@ -561,14 +585,15 @@ def finite_diff_grad(f: Callable[[Tensor], float], x: Tensor, h: float = 1e-5) -
     """Central-difference gradient of a tensor-to-scalar function.
 
     ``f`` must be deterministic; it receives a detached copy of ``x``
-    with one element perturbed by +/- h at a time.
+    with one element perturbed by +/- h at a time, so writing to it does
+    not disturb later probes.
     """
     if h <= 0:
         raise ValueError("h must be positive")
     base = x.data.copy()
 
     def evaluate() -> float:
-        r = f(Tensor(base))
+        r = f(Tensor(base.copy()))
         return r.item() if isinstance(r, Tensor) else float(r)
 
     grad = np.zeros_like(base)

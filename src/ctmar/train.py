@@ -20,7 +20,7 @@ import numpy as np
 from . import metrics
 from .model import MARNet, ModelConfig, build_model, save_checkpoint
 from .simulate import DatasetManifest, load_manifest, load_pair
-from .tensor import Tensor, central_difference, tabs, tmean
+from .tensor import Tensor, central_difference, no_grad, tabs, tmean
 
 NORM_SCALE = 1.0 / 4096.0          # exact in binary floating point
 HU_DATA_RANGE = 3800.0             # the clipped scanner window
@@ -217,9 +217,10 @@ class MetricsReport:
 
 
 def restore_slice(model: MARNet, hu: np.ndarray) -> np.ndarray:
-    """Run one HU slice through the model; returns HU."""
+    """Run one HU slice through the model; returns HU. Records no tape."""
     x = Tensor(normalize(hu)[None])
-    out = model.forward(x)
+    with no_grad():
+        out = model.forward(x)
     return denormalize(out.data[0])
 
 
@@ -273,8 +274,9 @@ def gradient_check(seed: int = 0, n_samples: int = 50, size: int = 16,
         rng.uniform(0.5, 1.5, size=(1, size, size))
 
     def loss_value() -> float:
-        return l1_loss(model.forward(Tensor(x_data.copy())),
-                       Tensor(target_data.copy())).item()
+        with no_grad():
+            return l1_loss(model.forward(Tensor(x_data.copy())),
+                           Tensor(target_data.copy())).item()
 
     loss = l1_loss(model.forward(Tensor(x_data.copy())), Tensor(target_data.copy()))
     loss.backward()

@@ -85,6 +85,19 @@ class TestInfer:
         assert code == 1
         assert "error:" in err
 
+    def test_non_finite_input_rejected(self, tmp_path, capsys):
+        ckpt = tmp_path / "t.mckp"
+        save_checkpoint(build_model(preset("T"), seed=1), ckpt)
+        src = tmp_path / "in.mtsr"
+        dst = tmp_path / "out.mtsr"
+        tio.save_tensor(src, np.full((64, 64), np.nan, dtype=np.float32))
+        code, _, err = run(capsys, "infer", "--ckpt", str(ckpt), "--input", str(src),
+                           "--output", str(dst))
+        assert code == 1
+        assert err.startswith("error:") and "non-finite" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not dst.exists()
+
 
 class TestEvalAndTrain:
     def test_train_then_eval(self, tmp_path, capsys):

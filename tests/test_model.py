@@ -1,6 +1,8 @@
 """Architecture tests: presets, shapes, identity-at-init, checkpoints, gradients."""
 
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +23,8 @@ from ctmar.model import (
     save_checkpoint,
 )
 from ctmar.complexity import count_params
-from ctmar.tensor import ShapeError, Tensor, tmean, tabs
+from ctmar.tensor import ShapeError, Tensor, no_grad, tmean, tabs
+from ctmar.train import normalize, restore_slice
 
 TINY = ModelConfig(base_channels=8, num_blocks=(1, 1, 1, 1), num_heads=(1, 1, 1, 1))
 
@@ -269,6 +272,58 @@ class TestMARNet:
                               num_heads=(1, 1, 1, 1), channel_ratio=rc)
             counts.append(count_params(build_model(cfg)))
         assert all(a > b for a, b in zip(counts, counts[1:]))
+
+
+def t_with_drawn_head(seed):
+    """Preset T with its zeroed head redrawn, so the output is not the input."""
+    model = build_model(preset("T"), seed=seed)
+    w = model.outro.weight
+    rng = np.random.default_rng(seed)
+    w.data = rng.uniform(-1.0, 1.0, size=w.shape).astype(np.float32) / math.sqrt(w.data[0].size)
+    return model
+
+
+class TestNoGradInference:
+    def test_forward_bit_identical_in_scope(self):
+        model = t_with_drawn_head(4)
+        x = rand_image(np.random.default_rng(15), 32, 32)
+        recorded = model.forward(x)
+        assert recorded._backward_fn is not None
+        with no_grad():
+            out = model.forward(x)
+        assert out._backward_fn is None and not out.requires_grad
+        assert not np.array_equal(out.data, x.data)
+        np.testing.assert_array_equal(out.data, recorded.data)
+
+    def test_restore_slice_leaves_grads_and_flags(self):
+        model = t_with_drawn_head(5)
+        sentinels = {name: np.full(t.shape, 7.0, dtype=t.data.dtype)
+                     for name, t in model.named_params()}
+        for name, t in model.named_params():
+            t.grad = sentinels[name]
+        hu = np.random.default_rng(16).uniform(-1000, 2800, size=(32, 32))
+        restore_slice(model, hu)
+        for name, t in model.named_params():
+            assert t.requires_grad
+            assert t.grad is sentinels[name]
+            np.testing.assert_array_equal(t.grad, 7.0)
+
+    def test_restore_slice_peak_memory_below_half_of_recording(self):
+        model = t_with_drawn_head(6)
+        hu = np.random.default_rng(17).uniform(-1000, 2800, size=(64, 64))
+
+        def peak(run):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        recording = peak(lambda: model.forward(Tensor(normalize(hu)[None])))
+        tape_free = peak(lambda: restore_slice(model, hu))
+        assert tape_free < 0.5 * recording, (tape_free, recording)
 
 
 class TestCheckpoint:

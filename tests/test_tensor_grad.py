@@ -47,6 +47,17 @@ def rng():
     return np.random.default_rng(42)
 
 
+def test_finite_diff_probe_is_a_copy():
+    """An f that writes to its argument must not disturb later probes."""
+    def f(p):
+        loss = tsum(p * p)
+        p.data += 1
+        return loss
+
+    g = finite_diff_grad(f, Tensor(np.array([0.0, 1.0, 2.0])))
+    np.testing.assert_allclose(g, [0.0, 2.0, 4.0], rtol=1e-9, atol=1e-9)
+
+
 def test_add_mul_broadcast(rng):
     a = rng.normal(size=(3, 4))
     b = rng.normal(size=(4,))

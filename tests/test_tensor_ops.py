@@ -9,16 +9,25 @@ from ctmar.tensor import (
     GraphError,
     ShapeError,
     Tensor,
+    add,
+    concat,
     conv2d,
     finite_diff_grad,
     gelu,
     layernorm_channels,
     matmul,
+    mul,
+    neg,
+    no_grad,
     pixel_shuffle,
     pixel_unshuffle,
+    reshape,
     softmax,
+    sub,
     tabs,
+    texp,
     tmean,
+    transpose,
     tsum,
 )
 
@@ -291,6 +300,64 @@ class TestBackwardBasics:
         a = conv2d(Tensor(x), Tensor(w), padding=1).data
         b = conv2d(Tensor(x), Tensor(w), padding=1).data
         np.testing.assert_array_equal(a, b)
+
+
+class TestNoGrad:
+    @staticmethod
+    def _ops(rng):
+        """Every op, applied to requires_grad inputs."""
+        def leaf(*shape):
+            return Tensor(rng.normal(size=shape), requires_grad=True)
+
+        x, y = leaf(4, 4, 4), leaf(4, 4, 4)
+        w, g = leaf(4, 4, 3, 3), leaf(4)
+        return [
+            lambda: add(x, y), lambda: sub(x, y), lambda: mul(x, y), lambda: neg(x),
+            lambda: texp(x), lambda: tabs(x), lambda: tsum(x), lambda: tmean(x),
+            lambda: gelu(x), lambda: reshape(x, (16, 4)), lambda: transpose(x, (2, 0, 1)),
+            lambda: concat([x, y], axis=0), lambda: softmax(x, axis=-1),
+            lambda: layernorm_channels(x, g), lambda: matmul(x, y),
+            lambda: pixel_unshuffle(x, 2), lambda: pixel_shuffle(x, 2),
+            lambda: conv2d(x, w, g, padding=1),
+            lambda: conv2d(x, Tensor(w.data[:, :1].copy(), requires_grad=True),
+                           stride=2, padding=1, groups=4),
+        ]
+
+    def test_ops_record_nothing(self):
+        for op in self._ops(np.random.default_rng(21)):
+            recorded = op()
+            assert recorded._backward_fn is not None and recorded._parents
+            with no_grad():
+                out = op()
+            np.testing.assert_array_equal(out.data, recorded.data)
+            assert out._parents == () and out._backward_fn is None
+            assert not out.requires_grad
+
+    def test_backward_through_scope_rejected(self):
+        w = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        with no_grad():
+            loss = tsum(w * w)
+        assert w.requires_grad
+        with pytest.raises(GraphError):
+            loss.backward()
+        assert w.grad is None
+
+    def test_recording_restored_after_exception(self):
+        w = Tensor(np.ones((2, 3)), requires_grad=True)
+        with pytest.raises(ShapeError):
+            with no_grad():
+                matmul(w, w)
+        assert (w * w)._backward_fn is not None
+
+    def test_recording_restored_after_nested_scope(self):
+        w = Tensor(np.ones(3), requires_grad=True)
+        with no_grad():
+            with no_grad():
+                assert (w * w)._backward_fn is None
+            assert (w * w)._backward_fn is None
+        loss = tsum(w * w)
+        loss.backward()
+        np.testing.assert_array_equal(w.grad, [2.0, 2.0, 2.0])
 
 
 class TestFiniteDiff:
