@@ -81,9 +81,6 @@ def cmd_infer(args) -> int:
         arr = arr[0]
     if arr.ndim != 2:
         raise ValueError(f"input tensor must be (H,W) or (1,H,W), got {arr.shape}")
-    bad = int(np.count_nonzero(~np.isfinite(arr)))
-    if bad:
-        raise ValueError(f"input tensor {args.input} has {bad} non-finite values")
     restored = restore_slice(model, arr.astype(np.float32))
     tio.save_tensor(args.output, restored.astype(arr.dtype))
     print(f"restored slice written to {args.output}")

@@ -2,9 +2,9 @@
 
 Costs are reported in multiply-accumulate units (1 MAC = 1 FLOP unit);
 elementwise activations, normalizations and softmax are charged one
-unit per output element. The estimator walks exactly the layer layout
-that the model builder produces, so its parameter totals agree with
-``count_params`` on a built model to the last scalar.
+unit per output element. The estimator walks the model's stage table
+``model.STAGES``, which the model is also built and run from, so its
+parameter totals agree with ``count_params`` to the last scalar.
 """
 
 from __future__ import annotations
@@ -12,18 +12,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Tuple
 
-from .model import MARNet, ModelConfig, level_plans, preset
-
-FLOP_UNIT = "MAC"
+from .model import STAGES, MARNet, ModelConfig, level_plans, preset
 
 
 @dataclass
 class CostReport:
-    """Exact parameter count and analytic cost with a per-module breakdown."""
+    """Exact parameter count and analytic cost in MACs, with a per-module breakdown."""
 
     params: int
     flops: float
-    unit: str = FLOP_UNIT
     breakdown: Dict[str, Tuple[int, float]] = field(default_factory=dict)
 
 
@@ -82,35 +79,27 @@ def _block(c: int, heads: int, config: ModelConfig, h: int, w: int) -> Tuple[int
 
 def estimate_flops(config: ModelConfig, height: int, width: int) -> CostReport:
     """Analytic cost of one forward pass on a height x width slice."""
-    if height % 8 or width % 8:
-        raise ValueError(f"spatial extents {height}x{width} must be divisible by 8")
+    if min(height, width) < 8 or height % 8 or width % 8:
+        raise ValueError(f"spatial extents {height}x{width} must be positive multiples of 8")
     plans = level_plans(config)
-    chans = [p.channels for p in plans]
-    res = [(height // p.divisor, width // p.divisor) for p in plans]
-
+    grid = [(height // p.divisor, width // p.divisor) for p in plans]
     breakdown: Dict[str, Tuple[int, float]] = {}
-
-    def put(name: str, cost: Tuple[int, float], count: int = 1) -> None:
-        breakdown[name] = (cost[0] * count, cost[1] * count)
-
-    put("intro", _conv(1, chans[0], 3, height, width, bias=True))
-    put("enc1", _block(chans[0], plans[0].heads, config, *res[0]), plans[0].blocks)
-    put("down1", _conv(4 * chans[0], chans[1], 1, *res[1]))
-    put("enc2", _block(chans[1], plans[1].heads, config, *res[1]), plans[1].blocks)
-    put("down2", _conv(4 * chans[1], chans[2], 1, *res[2]))
-    put("enc3", _block(chans[2], plans[2].heads, config, *res[2]), plans[2].blocks)
-    put("down3", _conv(4 * chans[2], chans[3], 1, *res[3]))
-    put("bottleneck", _block(chans[3], plans[3].heads, config, *res[3]), plans[3].blocks)
-    put("up3", _conv(chans[3], 4 * chans[2], 1, *res[3]))
-    put("reduce3", _conv(2 * chans[2], chans[2], 1, *res[2]))
-    put("dec3", _block(chans[2], plans[2].heads, config, *res[2]), plans[2].blocks)
-    put("up2", _conv(chans[2], 4 * chans[1], 1, *res[2]))
-    put("reduce2", _conv(2 * chans[1], chans[1], 1, *res[1]))
-    put("dec2", _block(chans[1], plans[1].heads, config, *res[1]), plans[1].blocks)
-    put("up1", _conv(chans[1], 4 * chans[0], 1, *res[1]))
-    put("reduce1", _conv(2 * chans[0], chans[0], 1, *res[0]))
-    put("dec1", _block(chans[0], plans[0].heads, config, *res[0]), plans[0].blocks)
-    put("outro", _conv(chans[0], 1, 3, height, width, bias=True))
+    for key, kind, level in STAGES:
+        c = plans[level].channels
+        if kind == "blocks":
+            params, flops = _block(c, plans[level].heads, config, *grid[level])
+            cost = (params * plans[level].blocks, flops * plans[level].blocks)
+        elif kind == "down":
+            cost = _conv(4 * plans[level - 1].channels, c, 1, *grid[level])
+        elif kind == "up":        # the conv runs before the shuffle, on the coarser grid
+            cost = _conv(plans[level + 1].channels, 4 * c, 1, *grid[level + 1])
+        elif kind == "reduce":
+            cost = _conv(2 * c, c, 1, *grid[level])
+        elif kind == "intro":
+            cost = _conv(1, c, 3, *grid[level], bias=True)
+        else:
+            cost = _conv(c, 1, 3, *grid[level], bias=True)
+        breakdown[key] = cost
 
     params = sum(p for p, _ in breakdown.values())
     flops = sum(f for _, f in breakdown.values())

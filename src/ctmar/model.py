@@ -14,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -103,17 +104,21 @@ class ModelConfig:
         return (c, 2 * c, 4 * c, 8 * c)
 
     def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["num_blocks"] = list(self.num_blocks)
-        d["num_heads"] = list(self.num_heads)
-        return d
+        return dataclasses.asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "ModelConfig":
-        d = dict(d)
-        d["num_blocks"] = tuple(d["num_blocks"])
-        d["num_heads"] = tuple(d["num_heads"])
-        return ModelConfig(**d)
+        """Inverse of ``to_dict``; every field must be given, and no other."""
+        names = {f.name for f in dataclasses.fields(ModelConfig)}
+        given = set(d) if isinstance(d, dict) else set()
+        if given != names:
+            raise ConfigError(f"config fields missing {sorted(names - given)}, "
+                              f"unknown {sorted(given - names)}")
+        try:
+            return ModelConfig(**dict(d, num_blocks=tuple(d["num_blocks"]),
+                                      num_heads=tuple(d["num_heads"])))
+        except TypeError as exc:
+            raise ConfigError(f"bad config value ({exc})") from exc
 
 
 @dataclass(frozen=True)
@@ -132,6 +137,19 @@ def level_plans(config: ModelConfig) -> Tuple[LevelPlan, ...]:
         LevelPlan(chans[k], config.num_blocks[k], config.num_heads[k], 2 ** min(k, 3))
         for k in range(4)
     )
+
+
+# The U-Net's top-level stages in execution order, as (key, kind, level). The key
+# names the model attribute and the cost-breakdown entry; the level indexes
+# ``level_plans``. ``down`` pushes a skip that ``reduce`` pops and concatenates.
+STAGES = (("intro", "intro", 0),
+          ("enc1", "blocks", 0), ("down1", "down", 1), ("enc2", "blocks", 1),
+          ("down2", "down", 2), ("enc3", "blocks", 2), ("down3", "down", 3),
+          ("bottleneck", "blocks", 3),
+          ("up3", "up", 2), ("reduce3", "reduce", 2), ("dec3", "blocks", 2),
+          ("up2", "up", 1), ("reduce2", "reduce", 1), ("dec2", "blocks", 1),
+          ("up1", "up", 0), ("reduce1", "reduce", 0), ("dec1", "blocks", 0),
+          ("outro", "outro", 0))
 
 
 _PRESETS = {
@@ -325,39 +343,24 @@ class MARNet(Module):
     def __init__(self, config: ModelConfig, seed: int = 0, dtype: str = "f32"):
         rng = np.random.default_rng(seed)
         plans = level_plans(config)
-        chans = [p.channels for p in plans]
         self.config = config
         self.dtype = dtype
-        self.intro = Conv2d(rng, 1, chans[0], 3, bias=True, dtype=dtype)
-        self.enc1 = self._blocks(rng, plans[0], config, dtype)
-        self.down1 = Downsample(rng, chans[0], chans[1], dtype=dtype)
-        self.enc2 = self._blocks(rng, plans[1], config, dtype)
-        self.down2 = Downsample(rng, chans[1], chans[2], dtype=dtype)
-        self.enc3 = self._blocks(rng, plans[2], config, dtype)
-        self.down3 = Downsample(rng, chans[2], chans[3], dtype=dtype)
-        self.bottleneck = self._blocks(rng, plans[3], config, dtype)
-        self.up3 = Upsample(rng, chans[3], chans[2], dtype=dtype)
-        self.reduce3 = Conv2d(rng, 2 * chans[2], chans[2], 1, dtype=dtype)
-        self.dec3 = self._blocks(rng, plans[2], config, dtype)
-        self.up2 = Upsample(rng, chans[2], chans[1], dtype=dtype)
-        self.reduce2 = Conv2d(rng, 2 * chans[1], chans[1], 1, dtype=dtype)
-        self.dec2 = self._blocks(rng, plans[1], config, dtype)
-        self.up1 = Upsample(rng, chans[1], chans[0], dtype=dtype)
-        self.reduce1 = Conv2d(rng, 2 * chans[0], chans[0], 1, dtype=dtype)
-        self.dec1 = self._blocks(rng, plans[0], config, dtype)
-        # zeroed head: the untrained network adds a zero residual
-        self.outro = Conv2d(rng, chans[0], 1, 3, bias=True, zero_init=True, dtype=dtype)
-
-    @staticmethod
-    def _blocks(rng, plan: LevelPlan, config: ModelConfig, dtype: str) -> list:
-        return [TransformerBlock(rng, plan.channels, plan.heads, config, dtype)
-                for _ in range(plan.blocks)]
-
-    @staticmethod
-    def _run(blocks: list, x: Tensor) -> Tensor:
-        for block in blocks:
-            x = block.forward(x)
-        return x
+        for key, kind, level in STAGES:
+            c = plans[level].channels
+            if kind == "blocks":
+                part = [TransformerBlock(rng, c, plans[level].heads, config, dtype)
+                        for _ in range(plans[level].blocks)]
+            elif kind == "down":
+                part = Downsample(rng, plans[level - 1].channels, c, dtype=dtype)
+            elif kind == "up":
+                part = Upsample(rng, plans[level + 1].channels, c, dtype=dtype)
+            elif kind == "reduce":
+                part = Conv2d(rng, 2 * c, c, 1, dtype=dtype)
+            elif kind == "intro":
+                part = Conv2d(rng, 1, c, 3, bias=True, dtype=dtype)
+            else:   # zeroed head: the untrained network adds a zero residual
+                part = Conv2d(rng, c, 1, 3, bias=True, zero_init=True, dtype=dtype)
+            setattr(self, key, part)
 
     def forward(self, image: Tensor) -> Tensor:
         """Restore a slice; accepts (1,H,W) or (N,1,H,W) with H, W divisible by 8."""
@@ -366,22 +369,16 @@ class MARNet(Module):
         h, w = image.shape[-2:]
         if h % 8 or w % 8:
             raise ShapeError(f"spatial extents {h}x{w} must be divisible by 8")
-        x = self.intro.forward(image)
-        e1 = self._run(self.enc1, x)
-        e2 = self._run(self.enc2, self.down1.forward(e1))
-        e3 = self._run(self.enc3, self.down2.forward(e2))
-        b = self._run(self.bottleneck, self.down3.forward(e3))
-        d3 = concat([self.up3.forward(b), e3], axis=-3)
-        d3 = self._run(self.dec3, self.reduce3.forward(d3))
-        d2 = concat([self.up2.forward(d3), e2], axis=-3)
-        d2 = self._run(self.dec2, self.reduce2.forward(d2))
-        d1 = concat([self.up1.forward(d2), e1], axis=-3)
-        d1 = self._run(self.dec1, self.reduce1.forward(d1))
-        residual = self.outro.forward(d1)
-        return image + residual
-
-    def param_dict(self) -> dict:
-        return dict(self.named_params())
+        x, skips = image, []
+        for key, kind, _ in STAGES:
+            part = getattr(self, key)
+            if kind == "down":
+                skips.append(x)
+            elif kind == "reduce":
+                x = concat([x, skips.pop()], axis=-3)
+            for module in part if kind == "blocks" else [part]:
+                x = module.forward(x)
+        return image + x
 
 
 def build_model(config: ModelConfig, seed: int = 0, dtype: str = "f32") -> MARNet:
@@ -392,7 +389,7 @@ def build_model(config: ModelConfig, seed: int = 0, dtype: str = "f32") -> MARNe
 
 
 def save_checkpoint(model: MARNet, path: Union[str, Path]) -> None:
-    """Write config, a tensor manifest and the MTSR1-encoded parameters."""
+    """Atomically write config, a tensor manifest and the MTSR1-encoded parameters."""
     entries = []
     blobs = []
     offset = 0
@@ -410,11 +407,16 @@ def save_checkpoint(model: MARNet, path: Union[str, Path]) -> None:
         "manifest": entries,
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(CKPT_MAGIC + struct.pack("<BI", CKPT_VERSION, len(header_bytes)))
-        fh.write(header_bytes)
-        for blob in blobs:
-            fh.write(blob)
+    tmp = Path(f"{path}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CKPT_MAGIC + struct.pack("<BI", CKPT_VERSION, len(header_bytes)))
+            fh.write(header_bytes)
+            for blob in blobs:
+                fh.write(blob)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def load_checkpoint(path: Union[str, Path],
@@ -434,15 +436,17 @@ def load_checkpoint(path: Union[str, Path],
             header = json.loads(fh.read(header_len).decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise CheckpointError(f"{path}: corrupt header ({exc})") from exc
+        if not isinstance(header, dict):
+            raise CheckpointError(f"{path}: corrupt header (not a JSON object)")
         try:
-            config = ModelConfig.from_dict(header["config"])
-        except (KeyError, TypeError, ConfigError) as exc:
+            config = ModelConfig.from_dict(header.get("config"))
+        except ConfigError as exc:
             raise CheckpointError(f"{path}: bad embedded config ({exc})") from exc
         if expect_config is not None and config != expect_config:
             raise CheckpointError(f"{path}: checkpoint config does not match the "
                                   f"requested config")
         model = build_model(config, seed=0, dtype=header.get("dtype", "f32"))
-        params = model.param_dict()
+        params = dict(model.named_params())
         names_found = set()
         payload_start = 9 + header_len
         for entry in header["manifest"]:

@@ -303,8 +303,9 @@ def make_dataset(n_pairs: int, size: int, seed: int,
                  out_dir: Union[str, Path],
                  params: Optional[SimParams] = None) -> DatasetManifest:
     """Write ``n_pairs`` clean/MA MTSR1 pairs plus a manifest; fully seeded."""
-    if size % 8:
-        raise ValueError("slice size must be divisible by 8")
+    if n_pairs < 1 or size < 8 or size % 8:
+        raise ValueError(f"need n_pairs >= 1 and a size that is a positive multiple of 8, "
+                         f"got n_pairs={n_pairs}, size={size}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     params = params or SimParams()

@@ -217,7 +217,9 @@ class MetricsReport:
 
 
 def restore_slice(model: MARNet, hu: np.ndarray) -> np.ndarray:
-    """Run one HU slice through the model; returns HU. Records no tape."""
+    """Run one HU slice through the model, recording no tape; returns HU."""
+    if not np.isfinite(hu).all():
+        raise ValueError("slice has non-finite values")
     x = Tensor(normalize(hu)[None])
     with no_grad():
         out = model.forward(x)
@@ -228,7 +230,10 @@ def evaluate(model: MARNet, data_dir: Union[str, Path], split: str = "test",
              data_range: float = HU_DATA_RANGE) -> MetricsReport:
     report = MetricsReport(data_range=data_range)
     for image_id, ma, clean in load_split(data_dir, split):
-        restored = restore_slice(model, ma)
+        try:
+            restored = restore_slice(model, ma)
+        except ValueError as exc:
+            raise ValueError(f"{data_dir} pair {image_id}: {exc}") from exc
         report.rows.append((image_id,
                             metrics.psnr(restored, clean, data_range),
                             metrics.ssim(restored, clean, data_range)))

@@ -37,6 +37,14 @@ class TestSynth:
         assert code == 1
         assert "error:" in err
 
+    @pytest.mark.parametrize("pairs,size", [("0", "32"), ("-1", "32"), ("1", "0")])
+    def test_empty_or_degenerate_dataset_rejected(self, tmp_path, capsys, pairs, size):
+        code, _, err = run(capsys, "synth", "--pairs", pairs, "--size", size,
+                           "--out", str(tmp_path / "x"))
+        assert code == 1
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "x").exists()
+
 
 class TestCount:
     def test_preset_table(self, capsys):
@@ -122,6 +130,34 @@ class TestEvalAndTrain:
         assert out.splitlines()[1] == "image_id,psnr_db,ssim"
         assert "mean," in out
         assert csv_path.exists()
+
+    @pytest.mark.parametrize("cfg_text,field", [
+        ('{"base_channels": 8}', "num_blocks"),
+        ('{"base_channels": 8, "expansion": 2.0, "ffn_kernel": 3, "spatial_ratio": 2, '
+         '"channel_ratio": 2, "num_blocks": [1, 1, 1, 1], "num_heads": [1, 1, 1, 1], '
+         '"fixed_width": false, "bogus": 1}', "bogus"),
+    ], ids=["missing", "unknown"])
+    def test_config_fields_checked(self, tmp_path, capsys, cfg_text, field):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(cfg_text)
+        code, _, err = run(capsys, "train", "--data", str(tmp_path / "ds"),
+                           "--config", str(cfg), "--out", str(tmp_path / "run"))
+        assert code == 1
+        assert err.startswith("error:") and field in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_eval_non_finite_slice_rejected(self, tmp_path, capsys):
+        ds = tmp_path / "ds"
+        run(capsys, "synth", "--pairs", "3", "--size", "32", "--seed", "2",
+            "--out", str(ds))
+        tio.save_tensor(ds / "0002_ma.mtsr", np.full((32, 32), np.nan, dtype=np.float32))
+        ckpt = tmp_path / "t.mckp"
+        save_checkpoint(build_model(preset("T"), seed=1), ckpt)
+        code, out, err = run(capsys, "eval", "--ckpt", str(ckpt), "--data", str(ds))
+        assert code == 1
+        assert err.startswith("error:") and "0002" in err and "non-finite" in err
+        assert len(err.strip().splitlines()) == 1
+        assert "mean," not in out
 
 
 class TestGradcheckCommand:

@@ -165,5 +165,6 @@ class TestCrossChecks:
         assert counts == {key: flops for key, (_, flops) in estimate.items()}
 
     def test_indivisible_resolution_rejected(self):
-        with pytest.raises(ValueError):
-            estimate_flops(SMALL, 100, 100)
+        for res in (100, 0, -8):
+            with pytest.raises(ValueError):
+                estimate_flops(SMALL, res, res)

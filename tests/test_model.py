@@ -14,6 +14,7 @@ from ctmar.model import (
     ConvFeedForward,
     Downsample,
     ModelConfig,
+    STAGES,
     TransformerBlock,
     Upsample,
     build_model,
@@ -22,7 +23,7 @@ from ctmar.model import (
     preset,
     save_checkpoint,
 )
-from ctmar.complexity import count_params
+from ctmar.complexity import count_params, estimate_flops
 from ctmar.tensor import ShapeError, Tensor, no_grad, tmean, tabs
 from ctmar.train import normalize, restore_slice
 
@@ -257,6 +258,10 @@ class TestMARNet:
         assert names == [n for n, _ in model.named_params()]
         assert names[0] == "intro.weight"
         assert names[-1] == "outro.bias"
+        # the stage table names the model's top-level modules and the cost breakdown
+        prefixes = list(dict.fromkeys(n.split(".")[0] for n in names))
+        assert prefixes == [key for key, _, _ in STAGES]
+        assert prefixes == list(estimate_flops(TINY, 32, 32).breakdown)
 
     def test_spatial_reduction_is_parameter_neutral(self):
         base = ModelConfig(base_channels=16, num_blocks=(1, 1, 1, 1),
@@ -366,6 +371,20 @@ class TestCheckpoint:
         path.write_bytes(raw[:len(raw) - 40])
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
+
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.mckp"
+        save_checkpoint(build_model(TINY, seed=1), path)
+        before = path.read_bytes()
+
+        def failing_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr("os.replace", failing_replace)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(build_model(TINY, seed=2), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.mckp"]
 
     def test_manifest_sizes_match_count(self, tmp_path):
         import json as _json
