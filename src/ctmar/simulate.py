@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import List, Optional, Tuple, Union
 
@@ -50,10 +50,6 @@ class Sinogram:
     @property
     def n_angles(self) -> int:
         return self.values.shape[0]
-
-    @property
-    def n_detectors(self) -> int:
-        return self.values.shape[1]
 
 
 @dataclass
@@ -335,13 +331,31 @@ def make_dataset(n_pairs: int, size: int, seed: int,
     return manifest
 
 
+def _pair_record(path: Path, index: int, entry) -> PairRecord:
+    """Validate one manifest pair entry: exactly PairRecord's fields, and
+    slice paths that stay inside the manifest's directory."""
+    if not isinstance(entry, dict):
+        raise ValueError(f"{path}: pair {index} is not a JSON object")
+    names = {f.name for f in fields(PairRecord)}
+    problems = [f"{kind} fields {sorted(keys)}" for kind, keys in
+                (("missing", names - entry.keys()), ("unknown", entry.keys() - names)) if keys]
+    if problems:
+        raise ValueError(f"{path}: pair {index} has {' and '.join(problems)}")
+    base = path.parent.resolve()
+    for key in ("clean_path", "ma_path"):
+        if not (base / str(entry[key])).resolve().is_relative_to(base):
+            raise ValueError(f"{path}: pair {index} {key} {entry[key]!r} "
+                             f"is outside the dataset directory")
+    return PairRecord(**entry)
+
+
 def load_manifest(data_dir: Union[str, Path]) -> DatasetManifest:
     path = Path(data_dir) / MANIFEST_NAME
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     manifest = DatasetManifest(size=payload["size"], seed=payload["seed"],
                                spacing=payload["spacing"], n_pairs=payload["n_pairs"])
-    manifest.pairs = [PairRecord(**p) for p in payload["pairs"]]
+    manifest.pairs = [_pair_record(path, i, p) for i, p in enumerate(payload["pairs"])]
     return manifest
 
 

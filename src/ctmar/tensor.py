@@ -16,12 +16,14 @@ from contextlib import contextmanager
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
+from scipy.fft import ifft, irfft, irfft2, next_fast_len, rfft2
 from scipy.special import erf
 
 DTYPES = {"f32": np.float32, "f64": np.float64}
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _recording = True                  # False inside no_grad(); read by Tensor._record
+_FFT_BLOCK = 1 << 17               # complex values per block of FFT-conv channels
 
 
 class ShapeError(ValueError):
@@ -475,6 +477,135 @@ def _conv_out_extent(h: int, k: int, stride: int, padding: int) -> int:
     return out
 
 
+def _conv_1x1(x: np.ndarray, w: np.ndarray, b: Optional[np.ndarray]):
+    """Dense 1x1, stride 1, no padding: one matmul over (N, C, H*W)."""
+    n, c_in, h, wid = x.shape
+    w2 = w.reshape(w.shape[0], c_in)
+    xr = x.reshape(n, c_in, h * wid)
+    out = np.matmul(w2, xr).reshape(n, -1, h, wid)
+    if b is not None:
+        out += b[None, :, None, None]
+
+    def bw(g):
+        gr = g.reshape(n, -1, h * wid)
+        gw = np.matmul(gr, xr.transpose(0, 2, 1)).sum(axis=0)
+        return np.matmul(w2.T, gr).reshape(x.shape), gw.reshape(w.shape)
+
+    return out, bw
+
+
+def _irfft2_crop(spec: np.ndarray, s: tuple, h: int, w: int) -> np.ndarray:
+    """The leading h x w corner of ``irfft2(spec, s)``, as a view.
+
+    The column pass overwrites ``spec`` and the row pass runs only over
+    the h rows kept, so no second spectrum-sized buffer is allocated.
+    """
+    spec = ifft(spec, axis=-2, overwrite_x=True)
+    return irfft(spec[..., :h, :], n=s[1], axis=-1)[..., :w]
+
+
+def _tap_spectrum(w: np.ndarray, lag: np.ndarray, s: tuple) -> np.ndarray:
+    """rfft2 over an s-sized grid of depth-wise taps ``w`` (C, 1, k, k),
+    tap a sitting at offset ``lag[a]`` from the origin (modulo s).
+
+    Evaluated from the k x k taps as two small DFT-matrix products, so no
+    s-sized copy of the kernel is built.
+    """
+    cdt = np.result_type(w.dtype, np.complex64)
+
+    def dft(size: int, keep: int) -> np.ndarray:       # (k, keep): tap -> frequency
+        return np.exp(-2j * np.pi * np.outer(lag, np.arange(keep)) / size).astype(cdt)
+
+    return dft(s[0], s[0]).T @ w[:, 0] @ dft(s[1], s[1] // 2 + 1)
+
+
+def _conv_dw_fft(x: np.ndarray, w: np.ndarray, b: Optional[np.ndarray], pad: int):
+    """Depth-wise, stride 1, same padding, as products of 2-D spectra.
+
+    Each transform spans the kernel and at least (H+pad) x (W+pad), so
+    the circular wrap-around of every tap lands in zero padding. Tap a
+    sits at offset pad - a, so output (i, j) is read at (i, j). Channels
+    go through in blocks of about _FFT_BLOCK spectrum values, so the
+    spectra held at any time stay small beside the output; the backward
+    recomputes them rather than keep any on the tape.
+    """
+    n, c, h, wid = x.shape
+    k = w.shape[-1]
+    s = tuple(next_fast_len(max(e + pad, k), real=True) for e in (h, wid))
+    lag = pad - np.arange(k)
+    step = max(1, _FFT_BLOCK // (n * s[0] * (s[1] // 2 + 1)))
+    blocks = [slice(c0, c0 + step) for c0 in range(0, c, step)]
+    out = np.empty(x.shape, dtype=x.dtype)
+    for ch in blocks:
+        spec = rfft2(x[:, ch], s)
+        spec *= _tap_spectrum(w[ch], lag, s)
+        out[:, ch] = _irfft2_crop(spec, s, h, wid)
+    if b is not None:
+        out += b[None, :, None, None]
+
+    def bw(g):
+        gx = np.empty(x.shape, dtype=x.dtype)
+        gw = np.empty(w.shape, dtype=w.dtype)
+        for ch in blocks:
+            gspec = rfft2(g[:, ch], s)
+            xspec = rfft2(x[:, ch], s)
+            np.conjugate(xspec, out=xspec)
+            xspec *= gspec
+            # corr[d] = sum_i g[i + d] x[i]; tap a reads lag d = pad - a
+            corr = irfft2(xspec.sum(axis=0), s)
+            gw[ch, 0] = corr[:, (lag % s[0])[:, None], (lag % s[1])[None, :]]
+            gspec *= _tap_spectrum(w[ch], lag, s).conj()
+            gx[:, ch] = _irfft2_crop(gspec, s, h, wid)
+        return gx, gw
+
+    return out, bw
+
+
+def _conv_taps(x: np.ndarray, w: np.ndarray, b: Optional[np.ndarray], stride: int,
+               padding: int, depthwise: bool, ho: int, wo: int):
+    """Any supported conv as a sum over its k*k taps, accumulated in f64."""
+    n, c_in, h, wid = x.shape
+    c_out, _, k, _ = w.shape
+    dt = x.dtype
+    if padding:
+        xp = np.zeros((n, c_in, h + 2 * padding, wid + 2 * padding), dtype=dt)
+        xp[:, :, padding:padding + h, padding:padding + wid] = x
+    else:
+        xp = x
+
+    acc = np.zeros((n, c_out, ho, wo), dtype=np.float64)
+    for di in range(k):
+        for dj in range(k):
+            xs = xp[:, :, di:di + stride * ho:stride, dj:dj + stride * wo:stride]
+            if depthwise:
+                acc += xs * w[:, 0, di, dj][None, :, None, None]
+            else:
+                acc += np.matmul(w[:, :, di, dj],
+                                 xs.reshape(n, c_in, ho * wo)).reshape(n, c_out, ho, wo)
+    if b is not None:
+        acc += b.astype(np.float64)[None, :, None, None]
+
+    def bw(g):
+        gxp = np.zeros(xp.shape, dtype=np.float64)
+        gw = np.zeros(w.shape, dtype=np.float64)
+        for di in range(k):
+            for dj in range(k):
+                xs = xp[:, :, di:di + stride * ho:stride, dj:dj + stride * wo:stride]
+                target = gxp[:, :, di:di + stride * ho:stride, dj:dj + stride * wo:stride]
+                if depthwise:
+                    gw[:, 0, di, dj] = np.einsum("nchw,nchw->c", g, xs)
+                    target += g * w[:, 0, di, dj][None, :, None, None]
+                else:
+                    gr = g.reshape(n, c_out, ho * wo)
+                    xr = xs.reshape(n, c_in, ho * wo)
+                    gw[:, :, di, dj] = np.matmul(gr, xr.transpose(0, 2, 1)).sum(axis=0)
+                    target += np.matmul(w[:, :, di, dj].T, gr).reshape(n, c_in, ho, wo)
+        gx = gxp[:, :, padding:padding + h, padding:padding + wid] if padding else gxp
+        return gx.astype(dt, copy=False), gw.astype(dt, copy=False)
+
+    return acc.astype(dt, copy=False), bw
+
+
 def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
            stride: int = 1, padding: int = 0, groups: int = 1) -> Tensor:
     """2-D convolution (cross-correlation) with square odd kernels.
@@ -482,7 +613,13 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     ``x`` is (C_in,H,W) or (N,C_in,H,W); ``weight`` is
     (C_out, C_in/groups, k, k). Two groupings are supported: dense
     (groups == 1) and depth-wise (groups == C_in == C_out); any other
-    ``groups`` raises ShapeError. Partial sums accumulate in f64.
+    ``groups`` raises ShapeError.
+
+    The kernel follows from the shapes. A dense 1x1 stride-1 conv is one
+    matmul; a depth-wise stride-1 conv with k >= 5 and same padding runs
+    through an FFT; every other conv is a loop over the k*k taps. The
+    matmul and FFT kernels compute in the tensor's dtype, the tap loop
+    sums in f64, and in f64 all three stay exact enough for gradcheck.
     """
     _check_same_dtype(x, weight, *([bias] if bias is not None else []))
     batched = _split_batch(x.shape, 3)
@@ -503,58 +640,25 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
         raise ShapeError(f"weight expects {c_in_g * groups} input channels, input has {c_in}")
     if bias is not None and bias.shape != (c_out,):
         raise ShapeError(f"bias shape {bias.shape} does not match {c_out} output channels")
-
     ho = _conv_out_extent(h, k, stride, padding)
     wo = _conv_out_extent(w, k, stride, padding)
-    dt = x.data.dtype
 
-    if padding:
-        xp = np.zeros((n, c_in, h + 2 * padding, w + 2 * padding), dtype=dt)
-        xp[:, :, padding:padding + h, padding:padding + w] = xd
+    bd = None if bias is None else bias.data
+    if k == 1 and groups == 1 and stride == 1 and padding == 0:
+        out_data, kernel_bw = _conv_1x1(xd, weight.data, bd)
+    elif depthwise and stride == 1 and k >= 5 and 2 * padding == k - 1:
+        out_data, kernel_bw = _conv_dw_fft(xd, weight.data, bd, padding)
     else:
-        xp = xd
-
-    acc = np.zeros((n, c_out, ho, wo), dtype=np.float64)
-    wd = weight.data
-    for di in range(k):
-        for dj in range(k):
-            xs = xp[:, :, di:di + stride * ho:stride, dj:dj + stride * wo:stride]
-            if depthwise:
-                acc += xs * wd[:, 0, di, dj][None, :, None, None]
-            else:
-                acc += np.matmul(wd[:, :, di, dj],
-                                 xs.reshape(n, c_in, ho * wo)).reshape(n, c_out, ho, wo)
-    if bias is not None:
-        acc += bias.data.astype(np.float64)[None, :, None, None]
-    out_data = acc.astype(dt, copy=False)
+        out_data, kernel_bw = _conv_taps(xd, weight.data, bd, stride, padding,
+                                         depthwise, ho, wo)
     out = Tensor(out_data if batched else out_data[0])
 
     def bw(g):
         gd = g if batched else g[None]
-        gxp = np.zeros(xp.shape, dtype=np.float64)
-        gw = np.zeros(wd.shape, dtype=np.float64)
-        for di in range(k):
-            for dj in range(k):
-                xs = xp[:, :, di:di + stride * ho:stride, dj:dj + stride * wo:stride]
-                target = gxp[:, :, di:di + stride * ho:stride, dj:dj + stride * wo:stride]
-                if depthwise:
-                    gw[:, 0, di, dj] = np.einsum("nchw,nchw->c", gd, xs)
-                    target += gd * wd[:, 0, di, dj][None, :, None, None]
-                else:
-                    gr = gd.reshape(n, c_out, ho * wo)
-                    xr = xs.reshape(n, c_in, ho * wo)
-                    gw[:, :, di, dj] = np.matmul(gr, xr.transpose(0, 2, 1)).sum(axis=0)
-                    target += np.matmul(wd[:, :, di, dj].T, gr).reshape(n, c_in, ho, wo)
-        if padding:
-            gx = gxp[:, :, padding:padding + h, padding:padding + w]
-        else:
-            gx = gxp
-        gx = gx.astype(dt, copy=False)
-        if not batched:
-            gx = gx[0]
-        grads = [gx, gw.astype(dt, copy=False)]
+        gx, gw = kernel_bw(gd)
+        grads = [gx if batched else gx[0], gw]
         if bias is not None:
-            grads.append(gd.sum(axis=(0, 2, 3)).astype(dt, copy=False))
+            grads.append(gd.sum(axis=(0, 2, 3)))
         return tuple(grads)
 
     parents = (x, weight) if bias is None else (x, weight, bias)

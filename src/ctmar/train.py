@@ -231,6 +231,8 @@ def evaluate(model: MARNet, data_dir: Union[str, Path], split: str = "test",
     report = MetricsReport(data_range=data_range)
     for image_id, ma, clean in load_split(data_dir, split):
         try:
+            if not np.isfinite(clean).all():
+                raise ValueError("clean slice has non-finite values")
             restored = restore_slice(model, ma)
         except ValueError as exc:
             raise ValueError(f"{data_dir} pair {image_id}: {exc}") from exc

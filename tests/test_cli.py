@@ -1,5 +1,7 @@
 """End-to-end CLI tests through main()."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -156,6 +158,44 @@ class TestEvalAndTrain:
         code, out, err = run(capsys, "eval", "--ckpt", str(ckpt), "--data", str(ds))
         assert code == 1
         assert err.startswith("error:") and "0002" in err and "non-finite" in err
+        assert len(err.strip().splitlines()) == 1
+        assert "mean," not in out
+
+    @staticmethod
+    def _dataset_and_checkpoint(tmp_path, capsys):
+        ds = tmp_path / "ds"
+        run(capsys, "synth", "--pairs", "3", "--size", "32", "--seed", "2",
+            "--out", str(ds))
+        ckpt = tmp_path / "t.mckp"
+        save_checkpoint(build_model(preset("T"), seed=1), ckpt)
+        return ds, ckpt
+
+    def test_eval_non_finite_clean_slice_rejected(self, tmp_path, capsys):
+        ds, ckpt = self._dataset_and_checkpoint(tmp_path, capsys)
+        tio.save_tensor(ds / "0002_clean.mtsr", np.full((32, 32), np.nan, dtype=np.float32))
+        code, out, err = run(capsys, "eval", "--ckpt", str(ckpt), "--data", str(ds))
+        assert code == 1
+        assert err.startswith(f"error: {ds} pair 0002:") and "non-finite" in err
+        assert len(err.strip().splitlines()) == 1
+        assert "mean," not in out
+
+    @pytest.mark.parametrize("edit,needle", [
+        (lambda pairs: pairs[2].pop("split"), "split"),
+        (lambda pairs: pairs[2].update(bogus=1), "bogus"),
+        (lambda pairs: pairs[2].update(clean_path="../outside.mtsr"), "outside"),
+        (lambda pairs: pairs.__setitem__(2, ["0002_clean.mtsr", "0002_ma.mtsr"]),
+         "not a JSON object"),
+    ], ids=["missing", "unknown", "outside", "not-object"])
+    def test_eval_bad_manifest_pair_rejected(self, tmp_path, capsys, edit, needle):
+        ds, ckpt = self._dataset_and_checkpoint(tmp_path, capsys)
+        # a readable slice outside the dataset, so only the path check can refuse it
+        tio.save_tensor(tmp_path / "outside.mtsr", tio.load_tensor(ds / "0002_clean.mtsr"))
+        manifest = json.loads((ds / "manifest.json").read_text())
+        edit(manifest["pairs"])
+        (ds / "manifest.json").write_text(json.dumps(manifest))
+        code, out, err = run(capsys, "eval", "--ckpt", str(ckpt), "--data", str(ds))
+        assert code == 1
+        assert err.startswith("error:") and "pair 2" in err and needle in err
         assert len(err.strip().splitlines()) == 1
         assert "mean," not in out
 

@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ctmar import tensor as tensor_module
 from ctmar.tensor import (
     GraphError,
     ShapeError,
@@ -62,6 +65,31 @@ def conv2d_reference(x, w, b=None, stride=1, padding=0, groups=1):
                                         * w[co, ci, di, dj])
                     out[ni, co, i, j] = acc + (b[co] if b is not None else 0.0)
     return out
+
+
+def conv2d_reference_grads(x, w, g, stride=1, padding=0, groups=1):
+    """Gradients of sum(g * conv) for x, w and the bias, by the same loops."""
+    n, c_in, h, wid = x.shape
+    c_out, c_in_g, k, _ = w.shape
+    xp = np.zeros((n, c_in, h + 2 * padding, wid + 2 * padding), dtype=np.float64)
+    xp[:, :, padding:padding + h, padding:padding + wid] = x
+    gxp = np.zeros_like(xp)
+    gw = np.zeros(w.shape, dtype=np.float64)
+    out_per_group = c_out // groups
+    for ni in range(n):
+        for co in range(c_out):
+            grp = co // out_per_group
+            for i in range(g.shape[2]):
+                for j in range(g.shape[3]):
+                    gv = g[ni, co, i, j]
+                    for ci in range(c_in_g):
+                        for di in range(k):
+                            for dj in range(k):
+                                at = (ni, grp * c_in_g + ci, i * stride + di, j * stride + dj)
+                                gxp[at] += gv * w[co, ci, di, dj]
+                                gw[co, ci, di, dj] += gv * xp[at]
+    gx = gxp[:, :, padding:padding + h, padding:padding + wid]
+    return gx, gw, g.sum(axis=(0, 2, 3))
 
 
 class TestConv2d:
@@ -124,6 +152,106 @@ class TestConv2d:
         w = Tensor(np.zeros((1, 1, 2, 2), dtype=np.float32))
         with pytest.raises(ShapeError):
             conv2d(x, w)
+
+
+def _case(kind, n, c_in, c_out, h, w, k, stride, padding, dtype="f32", batched=True,
+          bias=True, seed=0):
+    return dict(kind=kind, n=n, c_in=c_in, c_out=c_out, h=h, w=w, k=k, stride=stride,
+                padding=padding, dtype=dtype, batched=batched, bias=bias, seed=seed)
+
+
+@st.composite
+def conv_cases(draw, kind):
+    """Shapes for one conv2d kernel: "dense1x1" (matmul), "dw_fft"
+    (depth-wise, stride 1, same padding, k in {5, 7}) or "dw_taps"
+    (depth-wise, strided or not same-padded, which stays on the tap loop)."""
+    c = draw(st.integers(1, 3))
+    c_out = draw(st.integers(1, 4)) if kind == "dense1x1" else c
+    if kind == "dense1x1":
+        k, stride, padding = 1, 1, 0
+    elif kind == "dw_fft":
+        k = draw(st.sampled_from([5, 7]))
+        stride, padding = 1, k // 2
+    else:
+        k = draw(st.sampled_from([3, 5, 7]))
+        stride = draw(st.integers(1, 3))
+        padding = draw(st.integers(0, k // 2 - (stride == 1)))
+    lo = max(1, k - 2 * padding)
+    batched = draw(st.booleans())
+    return _case(kind, draw(st.integers(1, 2)) if batched else 1, c, c_out,
+                 draw(st.integers(lo, 12)), draw(st.integers(lo, 12)), k, stride, padding,
+                 draw(st.sampled_from(["f32", "f64"])), batched, draw(st.booleans()),
+                 draw(st.integers(0, 2**32 - 1)))
+
+
+class TestConv2dProperty:
+    """Every conv2d kernel against the six-loop reference: forward, input,
+    weight and bias gradients, both dtypes, with and without a batch axis."""
+
+    # an error bound relative to the largest |x|*|w| (or |g|*|w|, |g|*|x|)
+    # sum, so it holds for rounding in any summation order
+    TOL = {"f32": 1e-5, "f64": 1e-12}
+
+    @pytest.mark.parametrize("kind", ["dense1x1", "dw_fft", "dw_taps"])
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_matches_loop_reference(self, kind, data):
+        self.check(data.draw(conv_cases(kind)))
+
+    @pytest.mark.parametrize("case", [
+        _case("dw_fft", 2, 3, 3, 8, 8, 7, 1, 3),
+        _case("dw_fft", 1, 2, 2, 8, 8, 7, 1, 3, dtype="f64", batched=False),
+        _case("dw_fft", 2, 2, 2, 5, 11, 7, 1, 3),
+        _case("dw_fft", 2, 3, 3, 12, 7, 7, 1, 3, dtype="f64"),
+        _case("dw_taps", 2, 3, 3, 9, 8, 7, 2, 3),
+        _case("dw_taps", 2, 2, 2, 8, 10, 7, 1, 0, dtype="f64"),
+        _case("dense1x1", 2, 3, 4, 6, 9, 1, 1, 0),
+        _case("dense1x1", 1, 3, 4, 6, 9, 1, 1, 0, dtype="f64", batched=False),
+    ], ids=["fft-8x8", "fft-8x8-unbatched-f64", "fft-5x11", "fft-12x7-f64",
+            "taps-strided-9x8", "taps-unpadded-8x10-f64", "1x1-batch2",
+            "1x1-unbatched-f64"])
+    def test_named_shapes(self, case):
+        self.check(case)
+
+    def test_fft_channel_blocks(self, monkeypatch):
+        """The FFT kernel splits wide inputs into channel blocks; one channel
+        per block must give the reference results too."""
+        monkeypatch.setattr(tensor_module, "_FFT_BLOCK", 1)
+        self.check(_case("dw_fft", 2, 3, 3, 9, 7, 7, 1, 3))
+        self.check(_case("dw_fft", 1, 3, 3, 6, 10, 5, 1, 2, dtype="f64", batched=False))
+
+    def check(self, case):
+        rng = np.random.default_rng(case["seed"])
+        n, c_in, c_out, k = case["n"], case["c_in"], case["c_out"], case["k"]
+        groups = c_in if case["kind"] != "dense1x1" else 1
+        dt = np.float32 if case["dtype"] == "f32" else np.float64
+        x = rng.normal(size=(n, c_in, case["h"], case["w"])).astype(dt)
+        w = rng.normal(size=(c_out, c_in // groups, k, k)).astype(dt)
+        b = rng.normal(size=c_out).astype(dt) if case["bias"] else None
+        kw = dict(stride=case["stride"], padding=case["padding"], groups=groups)
+
+        xt = Tensor(x if case["batched"] else x[0], requires_grad=True)
+        wt = Tensor(w, requires_grad=True)
+        bt = Tensor(b, requires_grad=True) if b is not None else None
+        out = conv2d(xt, wt, bt, **kw)
+        g = rng.normal(size=out.shape).astype(dt)
+        tsum(mul(out, Tensor(g))).backward()
+        if not case["batched"]:
+            g = g[None]
+
+        want = conv2d_reference(x, w, b, **kw)
+        gx, gw, gb = conv2d_reference_grads(x, w, g, **kw)
+        ax, aw, ag = np.abs(x), np.abs(w), np.abs(g)
+        scale = conv2d_reference(ax, aw, None if b is None else np.abs(b), **kw).max()
+        sx, sw, _ = conv2d_reference_grads(ax, aw, ag, **kw)
+        tol = self.TOL[case["dtype"]]
+        got_x = xt.grad if case["batched"] else xt.grad[None]
+        assert out.data.dtype == xt.grad.dtype == wt.grad.dtype == dt
+        assert np.abs(out.data.reshape(want.shape) - want).max() <= tol * scale
+        assert np.abs(got_x - gx).max() <= tol * sx.max()
+        assert np.abs(wt.grad - gw).max() <= tol * sw.max()
+        if b is not None:
+            assert np.abs(bt.grad - gb).max() <= tol * ag.sum(axis=(0, 2, 3)).max()
 
 
 class TestPixelShuffle:

@@ -1,11 +1,13 @@
 """Optimizer, schedule, loss and training-loop tests."""
 
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ctmar.model import ModelConfig, build_model
+from ctmar.model import ModelConfig, build_model, preset, save_checkpoint
 from ctmar.simulate import make_dataset
 from ctmar.tensor import Tensor, finite_diff_grad, tsum
 from ctmar.train import (
@@ -17,7 +19,9 @@ from ctmar.train import (
     evaluate,
     gradient_check,
     l1_loss,
+    load_split,
     normalize,
+    restore_slice,
     train,
 )
 
@@ -212,6 +216,30 @@ class TestEvaluate:
         model = build_model(TINY_MODEL, seed=2)
         with pytest.raises(ValueError):
             evaluate(model, tiny_dataset, split="nope")
+
+    def test_restore_matches_independent_reference(self, tiny_dataset, tmp_path):
+        """A preset-T restore agrees with the benchmark's f64 forward, which
+        shares no code with ctmar, within the benchmark's own bound."""
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_reference", Path(__file__).parents[1] / "perfbench" / "reference.py")
+        reference = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(reference)
+
+        model = build_model(preset("T"), seed=4)
+        rng = np.random.default_rng(9)
+        head = model.outro.weight          # zero at init, which would restore x to x
+        bound = 1.0 / math.sqrt(head.data[0].size)
+        head.data = rng.uniform(-bound, bound, size=head.shape).astype(np.float32)
+        model.outro.bias.data = rng.uniform(-bound, bound, size=1).astype(np.float32)
+        save_checkpoint(model, tmp_path / "t.mckp")
+        config, params = reference.read_mckp(tmp_path / "t.mckp")
+
+        _, ma, _ = load_split(tiny_dataset, "train")[0]
+        got = restore_slice(model, ma)
+        want = reference.restore_reference(config, params, ma)
+        scale = float(np.max(np.abs(want - ma)))
+        assert scale > 0
+        assert float(np.max(np.abs(got - want))) <= 1e-4 * scale
 
 
 class TestGradientCheckHarness:
