@@ -18,12 +18,25 @@ THREAD_ENV = "MARFORMER_THREADS"
 
 
 def _apply_thread_cap() -> None:
+    """Set every BLAS thread variable that is not set yet to MARFORMER_THREADS.
+
+    One line on stderr names what the cap could not do: a variable already
+    set to another value is kept, and a numpy imported before this call
+    has already sized its BLAS pool.
+    """
     cap = os.environ.get(THREAD_ENV)
     if not cap:
         return
+    kept = []
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(var, cap)
+        if os.environ.setdefault(var, cap) != cap:
+            kept.append(f"{var}={os.environ[var]}")
+    notes = [f"kept {', '.join(kept)}, already set"] if kept else []
+    if "numpy" in sys.modules:
+        notes.append("numpy is already imported, so its BLAS pool keeps its size")
+    if notes:
+        print(f"{THREAD_ENV}={cap}: {'; '.join(notes)}", file=sys.stderr)
 
 
 def _print_resolved(args: argparse.Namespace) -> None:

@@ -10,6 +10,12 @@ from ctmar.cli import main
 from ctmar.model import build_model, preset, save_checkpoint
 
 
+@pytest.fixture(autouse=True)
+def no_thread_cap(monkeypatch):
+    # with MARFORMER_THREADS set, main() adds a line to stderr
+    monkeypatch.delenv("MARFORMER_THREADS", raising=False)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -199,6 +205,24 @@ class TestEvalAndTrain:
         assert len(err.strip().splitlines()) == 1
         assert "mean," not in out
 
+    @pytest.mark.parametrize("edit,needle", [
+        (lambda m: {k: v for k, v in m.items() if k != "size"}, "missing fields ['size']"),
+        (lambda m: {**m, "bogus": 1}, "unknown fields ['bogus']"),
+        (lambda m: [m], "the top level is not a JSON object"),
+        (lambda m: {**m, "pairs": "0000_clean.mtsr"}, "pairs is not a JSON list"),
+    ], ids=["missing", "unknown", "not-object", "pairs-not-list"])
+    @pytest.mark.parametrize("command", ["eval", "train"])
+    def test_bad_manifest_rejected(self, tmp_path, capsys, edit, needle, command):
+        ds, ckpt = self._dataset_and_checkpoint(tmp_path, capsys)
+        manifest = edit(json.loads((ds / "manifest.json").read_text()))
+        (ds / "manifest.json").write_text(json.dumps(manifest))
+        args = (["--ckpt", str(ckpt)] if command == "eval"
+                else ["--preset", "T", "--epochs", "1", "--out", str(tmp_path / "run")])
+        code, _, err = run(capsys, command, "--data", str(ds), *args)
+        assert code == 1
+        assert err.startswith(f"error: {ds / 'manifest.json'}: ") and needle in err
+        assert len(err.strip().splitlines()) == 1
+
 
 class TestGradcheckCommand:
     def test_reports_pass(self, capsys):
@@ -209,6 +233,13 @@ class TestGradcheckCommand:
 
 
 class TestThreadCap:
+    @pytest.fixture(autouse=True)
+    def private_environ(self, monkeypatch):
+        # the cap sets variables that monkeypatch did not record (delenv of
+        # an unset one records nothing), so let it write into a copy
+        import os
+        monkeypatch.setattr(os, "environ", dict(os.environ))
+
     def test_env_var_caps_blas_pools(self, monkeypatch):
         from ctmar.cli import _apply_thread_cap
         monkeypatch.setenv("MARFORMER_THREADS", "3")
@@ -219,13 +250,18 @@ class TestThreadCap:
         assert os.environ["OMP_NUM_THREADS"] == "3"
         assert os.environ["OPENBLAS_NUM_THREADS"] == "3"
 
-    def test_existing_setting_wins(self, monkeypatch):
+    def test_existing_setting_wins(self, monkeypatch, capsys):
         from ctmar.cli import _apply_thread_cap
         monkeypatch.setenv("MARFORMER_THREADS", "3")
         monkeypatch.setenv("OMP_NUM_THREADS", "8")
         _apply_thread_cap()
         import os
         assert os.environ["OMP_NUM_THREADS"] == "8"
+        # numpy is imported by now, so the line names that too
+        err = capsys.readouterr().err
+        assert err.startswith("MARFORMER_THREADS=3: kept OMP_NUM_THREADS=8, already set")
+        assert "numpy is already imported" in err
+        assert len(err.splitlines()) == 1
 
 
 class TestParser:

@@ -4,13 +4,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.ndimage import map_coordinates
 
+from ctmar import simulate
 from ctmar.simulate import (
     HU_MAX,
     HU_MIN,
     PhantomImage,
     SimParams,
     Sinogram,
+    _default_detectors,
     fbp_reconstruct,
     hu_to_mu,
     jaw_phantom,
@@ -51,7 +56,93 @@ class TestHuToMu:
         assert (mu >= 0).all()
 
 
+def radon_reference(mu, params, spacing=1.0):
+    """The full-grid projector: every march step of every sub-ray is sampled."""
+    mu = np.asarray(mu, dtype=np.float64)
+    size = mu.shape[0]
+    n_det = params.n_detectors or _default_detectors(size)
+    center = (size - 1) / 2.0
+    det = np.arange(n_det) - (n_det - 1) / 2.0
+    step = 0.5
+    half_span = size * math.sqrt(2.0) / 2.0
+    march = np.arange(-half_span, half_span + step, step)
+    sub = np.concatenate([det - 0.25, det + 0.25])
+    sino = np.empty((params.n_angles, n_det), dtype=np.float64)
+    angles = np.arange(params.n_angles) * math.pi / params.n_angles
+    for i, theta in enumerate(angles):
+        cos_t, sin_t = math.cos(theta), math.sin(theta)
+        px = center + sub[:, None] * cos_t - march[None, :] * sin_t
+        py = center + sub[:, None] * sin_t + march[None, :] * cos_t
+        samples = map_coordinates(mu, [py.ravel(), px.ravel()], order=1,
+                                  mode="constant", cval=0.0)
+        rays = samples.reshape(2, n_det, march.size).sum(axis=2) * step * spacing
+        sino[i] = 0.5 * (rays[0] + rays[1])
+    return Sinogram(values=sino, spacing=spacing)
+
+
+@st.composite
+def projector_cases(draw):
+    """An image and SimParams. Images: all-zero, one pixel on a corner or
+    an edge, a small blob of either sign anywhere, dense random, or dense
+    with negative values; sizes 8-48. Angle counts are even (theta = pi/2
+    is sampled) and odd; detector rows are below, at or above the image
+    diagonal."""
+    size = draw(st.integers(8, 48))
+    kind = draw(st.sampled_from(["zero", "pixel", "blob", "dense", "negative"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mu = np.zeros((size, size))
+    if kind == "pixel":
+        edge = draw(st.sampled_from([0, size - 1]))
+        along = draw(st.integers(0, size - 1))
+        r, c = (edge, along) if draw(st.booleans()) else (along, edge)
+        mu[r, c] = rng.uniform(0.1, 2.0)
+    elif kind == "blob":
+        h, w = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+        r, c = draw(st.integers(0, size - 1)), draw(st.integers(0, size - 1))
+        mu[r:r + h, c:c + w] = rng.uniform(-1.0, 1.0, size=mu[r:r + h, c:c + w].shape)
+    elif kind == "dense":
+        mu = rng.random((size, size))
+    elif kind == "negative":
+        mu = rng.normal(size=(size, size))
+    diagonal = _default_detectors(size)
+    n_det = draw(st.sampled_from([None, draw(st.integers(1, diagonal - 1)),
+                                  draw(st.integers(diagonal + 1, 2 * diagonal))]))
+    return mu, SimParams(n_angles=draw(st.integers(8, 25)), n_detectors=n_det)
+
+
 class TestRadonForward:
+    # a floating-point warning, such as a division by a zero direction
+    # component, fails the case too
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(case=projector_cases(), spacing=st.sampled_from([1.0, 1.25, 2.5]))
+    def test_matches_full_grid_reference(self, case, spacing):
+        mu, params = case
+        got = radon_forward(mu, params, spacing).values
+        assert np.array_equal(got, radon_reference(mu, params, spacing).values)
+
+    def test_slack_absorbs_narrowed_intervals(self, monkeypatch):
+        """No sample comes within rounding distance of the box edge in this
+        geometry, so narrow every ray/box interval by 1e-3 instead: the
+        step of slack at each end must still keep every non-zero sample."""
+        slab = simulate._slab
+
+        def narrowed(origin, direction, lo, hi):
+            t0, t1 = slab(origin, direction, lo, hi)
+            return t0 + 1e-3, t1 - 1e-3
+
+        monkeypatch.setattr(simulate, "_slab", narrowed)
+        rng = np.random.default_rng(12)
+        for size, (r0, r1, c0, c1) in ((40, (9, 20, 14, 31)), (33, (3, 30, 5, 12)),
+                                       (24, (11, 13, 2, 22))):
+            # dense inside a box away from the image border, where
+            # map_coordinates reads the margin's samples
+            mu = np.zeros((size, size))
+            mu[r0:r1, c0:c1] = rng.random((r1 - r0, c1 - c0))
+            params = SimParams(n_angles=36)
+            assert np.array_equal(radon_forward(mu, params).values,
+                                  radon_reference(mu, params).values)
+
     def test_zero_image(self):
         sino = radon_forward(np.zeros((32, 32)), SimParams(n_angles=16))
         np.testing.assert_array_equal(sino.values, 0.0)
