@@ -8,6 +8,7 @@ inference I/O.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 from typing import BinaryIO, Union
@@ -56,7 +57,13 @@ def read_tensor(stream: BinaryIO) -> np.ndarray:
         raise FormatError("truncated extents")
     shape = struct.unpack(f"<{rank}I", ext_bytes)
     dt = _CODE_DTYPES[dtype_code]
-    count = int(np.prod(shape, dtype=np.int64)) if rank else 1
+    count = math.prod(shape)
+    if stream.seekable():
+        # a corrupt extent must not size a read far beyond the end of the data
+        here = stream.tell()
+        if stream.seek(0, 2) - here < count * dt.itemsize:
+            raise FormatError("truncated payload")
+        stream.seek(here)
     payload = stream.read(count * dt.itemsize)
     if len(payload) != count * dt.itemsize:
         raise FormatError("truncated payload")

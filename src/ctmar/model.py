@@ -16,6 +16,7 @@ import json
 import math
 import os
 import struct
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Optional, Tuple, Union
@@ -41,7 +42,10 @@ from .tensor import (
 
 _ALLOWED_RATIOS = (1, 2, 4, 8, 16)
 CKPT_MAGIC = b"MCKP"
-CKPT_VERSION = 1
+CKPT_VERSION = 2                   # v2 adds the payload's CRC32; v1 still loads
+_CKPT_KEYS = {1: {"config", "dtype", "manifest"}, 2: {"config", "crc32", "dtype", "manifest"}}
+_ENTRY_TYPES = {"name": str, "offset": int, "shape": list, "dtype": str}
+_CRC_CHUNK = 1 << 20               # bytes per read while checking the payload CRC
 
 
 class ConfigError(ValueError):
@@ -389,10 +393,12 @@ def build_model(config: ModelConfig, seed: int = 0, dtype: str = "f32") -> MARNe
 
 
 def save_checkpoint(model: MARNet, path: Union[str, Path]) -> None:
-    """Atomically write config, a tensor manifest and the MTSR1-encoded parameters."""
+    """Atomically write config, a tensor manifest, the payload's CRC32 and
+    the MTSR1-encoded parameters (MCKP version 2)."""
     entries = []
     blobs = []
     offset = 0
+    crc = 0
     import io as _io
     for name, t in model.named_params():
         buf = _io.BytesIO()
@@ -400,9 +406,11 @@ def save_checkpoint(model: MARNet, path: Union[str, Path]) -> None:
         entries.append({"name": name, "offset": offset,
                         "shape": list(t.shape), "dtype": t.dtype_name})
         blobs.append(buf.getvalue())
+        crc = zlib.crc32(blobs[-1], crc)
         offset += n
     header = {
         "config": model.config.to_dict(),
+        "crc32": crc,
         "dtype": model.dtype,
         "manifest": entries,
     }
@@ -419,33 +427,63 @@ def save_checkpoint(model: MARNet, path: Union[str, Path]) -> None:
         tmp.unlink(missing_ok=True)
 
 
+def _check_header(path, header, version: int) -> None:
+    """Raise CheckpointError unless ``header`` has exactly the version's keys,
+    a known dtype, an unsigned 32-bit CRC (v2) and a list of well-typed
+    manifest entries in that dtype."""
+    keys = _CKPT_KEYS[version]
+    if not isinstance(header, dict) or set(header) != keys:
+        raise CheckpointError(f"{path}: corrupt header (expected exactly the keys "
+                              f"{sorted(keys)})")
+    crc = header.get("crc32", 0)
+    if header["dtype"] not in ("f32", "f64") or type(crc) is not int \
+            or not 0 <= crc < 1 << 32 or not isinstance(header["manifest"], list):
+        raise CheckpointError(f"{path}: corrupt header (bad dtype, crc32 or manifest)")
+    for entry in header["manifest"]:
+        if not (isinstance(entry, dict) and set(entry) == set(_ENTRY_TYPES)
+                and all(type(entry[k]) is t for k, t in _ENTRY_TYPES.items())
+                and entry["offset"] >= 0 and entry["dtype"] == header["dtype"]
+                and all(type(e) is int and e >= 0 for e in entry["shape"])):
+            raise CheckpointError(f"{path}: corrupt manifest entry {str(entry)[:80]}")
+
+
 def load_checkpoint(path: Union[str, Path],
                     expect_config: Optional[ModelConfig] = None) -> MARNet:
-    """Rebuild a model from a checkpoint, bit-exactly.
+    """Rebuild a model from a version 1 or 2 checkpoint, bit-exactly.
 
-    If ``expect_config`` is given it must equal the embedded config.
+    If ``expect_config`` is given it must equal the embedded config. A
+    version 2 payload must match its CRC32, checked in one streaming pass
+    before any tensor is read. Every defect raises CheckpointError.
     """
     with open(path, "rb") as fh:
         head = fh.read(9)
         if len(head) != 9 or head[:4] != CKPT_MAGIC:
             raise CheckpointError(f"{path}: not a checkpoint file")
         version, header_len = struct.unpack("<BI", head[4:])
-        if version != CKPT_VERSION:
+        if version not in _CKPT_KEYS:
             raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
+        if header_len > os.fstat(fh.fileno()).st_size - 9:
+            raise CheckpointError(f"{path}: truncated header")
         try:
             header = json.loads(fh.read(header_len).decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise CheckpointError(f"{path}: corrupt header ({exc})") from exc
-        if not isinstance(header, dict):
-            raise CheckpointError(f"{path}: corrupt header (not a JSON object)")
+        _check_header(path, header, version)
+        if version >= 2:
+            crc = 0
+            while chunk := fh.read(_CRC_CHUNK):
+                crc = zlib.crc32(chunk, crc)
+            if crc != header["crc32"]:
+                raise CheckpointError(f"{path}: payload CRC32 {crc:08x} does not match "
+                                      f"the header's {header['crc32']:08x}")
         try:
-            config = ModelConfig.from_dict(header.get("config"))
+            config = ModelConfig.from_dict(header["config"])
         except ConfigError as exc:
             raise CheckpointError(f"{path}: bad embedded config ({exc})") from exc
         if expect_config is not None and config != expect_config:
             raise CheckpointError(f"{path}: checkpoint config does not match the "
                                   f"requested config")
-        model = build_model(config, seed=0, dtype=header.get("dtype", "f32"))
+        model = build_model(config, seed=0, dtype=header["dtype"])
         params = dict(model.named_params())
         names_found = set()
         payload_start = 9 + header_len
@@ -466,4 +504,3 @@ def load_checkpoint(path: Union[str, Path],
         if missing:
             raise CheckpointError(f"{path}: missing parameters {sorted(missing)[:3]}...")
     return model
-

@@ -24,6 +24,14 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _recording = True                  # False inside no_grad(); read by Tensor._record
 _FFT_BLOCK = 1 << 17               # complex values per block of FFT-conv channels
+_GELU_BLOCK = 1 << 15              # elements per GELU block; its temporaries stay in cache
+# erf(z) ~ z P(z^2) / Q(z^2) on z clipped to [-4, 4], highest power first
+# (the coefficients of Eigen's float erf)
+_ERF_P = np.array([-2.72614225801306e-10, 2.77068142495902e-08, -2.10102402082508e-06,
+                   -5.69250639462346e-05, -7.34990630326855e-04, -2.95459980854025e-03,
+                   -1.60960333262415e-02], dtype=np.float32)
+_ERF_Q = np.array([-1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03,
+                   -7.37332916720468e-03, -1.42647390514189e-02], dtype=np.float32)
 
 
 class ShapeError(ValueError):
@@ -282,15 +290,62 @@ def tmean(a: Tensor) -> Tensor:
     return out._record((a,), lambda g: ((np.broadcast_to(g, a.shape) / n).astype(a.data.dtype),))
 
 
+def _horner(coeffs: np.ndarray, z2: np.ndarray) -> np.ndarray:
+    """The polynomial ``coeffs`` (highest power first) at ``z2``, in one new array."""
+    acc = z2 * coeffs[0]
+    for c in coeffs[1:-1]:
+        acc += c
+        acc *= z2
+    acc += coeffs[-1]
+    return acc
+
+
+def _erf_f32(z: np.ndarray) -> np.ndarray:
+    """erf of a float32 block, in float32, overwriting and returning ``z``.
+
+    Over a dense grid of float32 z in [-8, 8] it stays within 4.5e-7
+    absolute of the float64 erf; NaN stays NaN.
+    """
+    np.clip(z, -4.0, 4.0, out=z)
+    z2 = z * z
+    p = _horner(_ERF_P, z2)
+    p *= z
+    return np.divide(p, _horner(_ERF_Q, z2), out=z)
+
+
 def gelu(a: Tensor) -> Tensor:
-    """Exact GELU: x * Phi(x) with Phi the standard normal CDF (erf form)."""
-    x = a.data
-    cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
-    out = Tensor((x * cdf).astype(x.dtype, copy=False))
+    """Exact GELU: x * Phi(x) with Phi the standard normal CDF (erf form).
+
+    f64 tensors take scipy's erf. f32 tensors take ``_erf_f32``, whose
+    error of at most 4.5e-7 bounds Phi's by 2.3e-7, so the f32 output is
+    within about 2.3e-7 |x| of the exact GELU before rounding. Both run
+    over flat blocks of ``_GELU_BLOCK`` elements, as does the backward,
+    g * (Phi(x) + x phi(x)).
+    """
+    x = a.data.reshape(-1)
+    erf_block = _erf_f32 if x.dtype == np.float32 else (lambda z: erf(z, out=z))
+    blocks = [slice(i, i + _GELU_BLOCK) for i in range(0, x.size, _GELU_BLOCK)]
+    cdf = np.empty_like(x)
+    y = np.empty_like(x)
+    for blk in blocks:
+        c = erf_block(np.multiply(x[blk], _INV_SQRT2, out=cdf[blk]))
+        c += 1.0
+        c *= 0.5
+        np.multiply(x[blk], c, out=y[blk])
+    out = Tensor(y.reshape(a.shape))
 
     def bw(g):
-        pdf = np.exp(-0.5 * x * x) * _INV_SQRT_2PI
-        return (g * (cdf + x * pdf),)
+        g = g.reshape(-1)
+        gx = np.empty_like(x)
+        for blk in blocks:
+            t = np.multiply(x[blk], x[blk], out=gx[blk])
+            t *= -0.5
+            np.exp(t, out=t)
+            t *= _INV_SQRT_2PI
+            t *= x[blk]
+            t += cdf[blk]
+            t *= g[blk]
+        return (gx.reshape(a.shape),)
 
     return out._record((a,), bw)
 
@@ -477,19 +532,47 @@ def _conv_out_extent(h: int, k: int, stride: int, padding: int) -> int:
     return out
 
 
-def _conv_1x1(x: np.ndarray, w: np.ndarray, b: Optional[np.ndarray]):
-    """Dense 1x1, stride 1, no padding: one matmul over (N, C, H*W)."""
+def _pad_and_taps(x: np.ndarray, k: int, stride: int, padding: int, ho: int, wo: int):
+    """The zero-padded input and, per tap (di, dj) in row-major order, the
+    index of the strided (N, C, Ho, Wo) window that tap reads."""
+    if padding:
+        n, c, h, wid = x.shape
+        xp = np.zeros((n, c, h + 2 * padding, wid + 2 * padding), dtype=x.dtype)
+        xp[:, :, padding:padding + h, padding:padding + wid] = x
+    else:
+        xp = x
+    return xp, [(di, dj, (slice(None), slice(None), slice(di, di + stride * ho, stride),
+                          slice(dj, dj + stride * wo, stride)))
+                for di in range(k) for dj in range(k)]
+
+
+def _conv_matmul(x: np.ndarray, w: np.ndarray, b: Optional[np.ndarray], stride: int,
+                 padding: int, ho: int, wo: int):
+    """Dense conv as one matmul: (C_out, C_in*k*k) @ the k*k tap windows
+    stacked as (N, C_in*k*k, Ho*Wo). A 1x1 stride-1 unpadded conv uses the
+    input itself as that stack, so nothing is copied."""
     n, c_in, h, wid = x.shape
-    w2 = w.reshape(w.shape[0], c_in)
-    xr = x.reshape(n, c_in, h * wid)
-    out = np.matmul(w2, xr).reshape(n, -1, h, wid)
+    c_out, _, k, _ = w.shape
+    xp, taps = _pad_and_taps(x, k, stride, padding, ho, wo)
+    whole = k == 1 and stride == 1 and padding == 0
+    cols = xp if whole else np.stack([xp[at] for _, _, at in taps], axis=2)
+    cols = cols.reshape(n, c_in * k * k, ho * wo)
+    w2 = w.reshape(c_out, c_in * k * k)
+    out = np.matmul(w2, cols).reshape(n, c_out, ho, wo)
     if b is not None:
         out += b[None, :, None, None]
 
     def bw(g):
-        gr = g.reshape(n, -1, h * wid)
-        gw = np.matmul(gr, xr.transpose(0, 2, 1)).sum(axis=0)
-        return np.matmul(w2.T, gr).reshape(x.shape), gw.reshape(w.shape)
+        gr = g.reshape(n, c_out, ho * wo)
+        gw = np.matmul(gr, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
+        gcols = np.matmul(w2.T, gr)
+        if whole:
+            return gcols.reshape(x.shape), gw
+        gcols = gcols.reshape(n, c_in, k * k, ho, wo)
+        gxp = np.zeros(xp.shape, dtype=x.dtype)
+        for t, (_, _, at) in enumerate(taps):
+            gxp[at] += gcols[:, :, t]
+        return gxp[:, :, padding:padding + h, padding:padding + wid], gw
 
     return out, bw
 
@@ -508,15 +591,20 @@ def _tap_spectrum(w: np.ndarray, lag: np.ndarray, s: tuple) -> np.ndarray:
     """rfft2 over an s-sized grid of depth-wise taps ``w`` (C, 1, k, k),
     tap a sitting at offset ``lag[a]`` from the origin (modulo s).
 
-    Evaluated from the k x k taps as two small DFT-matrix products, so no
-    s-sized copy of the kernel is built.
+    Evaluated from the k x k taps as two DFT-matrix products over all C
+    channels at once, (C*k, k) @ (k, m) and then (s0, k) @ (k, C*m), so
+    no s-sized copy of the kernel is built. Returns a (C, s0, m) view.
     """
     cdt = np.result_type(w.dtype, np.complex64)
+    c, _, k, _ = w.shape
+    m = s[1] // 2 + 1
 
     def dft(size: int, keep: int) -> np.ndarray:       # (k, keep): tap -> frequency
         return np.exp(-2j * np.pi * np.outer(lag, np.arange(keep)) / size).astype(cdt)
 
-    return dft(s[0], s[0]).T @ w[:, 0] @ dft(s[1], s[1] // 2 + 1)
+    cols = (w.reshape(c * k, k) @ dft(s[1], m)).reshape(c, k, m)
+    rows = dft(s[0], s[0]).T @ cols.transpose(1, 0, 2).reshape(k, c * m)
+    return rows.reshape(s[0], c, m).transpose(1, 0, 2)
 
 
 def _conv_dw_fft(x: np.ndarray, w: np.ndarray, b: Optional[np.ndarray], pad: int):
@@ -563,47 +651,42 @@ def _conv_dw_fft(x: np.ndarray, w: np.ndarray, b: Optional[np.ndarray], pad: int
 
 def _conv_taps(x: np.ndarray, w: np.ndarray, b: Optional[np.ndarray], stride: int,
                padding: int, depthwise: bool, ho: int, wo: int):
-    """Any supported conv as a sum over its k*k taps, accumulated in f64."""
+    """Any supported conv as a sum over its k*k taps, in the tensor's dtype."""
     n, c_in, h, wid = x.shape
     c_out, _, k, _ = w.shape
-    dt = x.dtype
-    if padding:
-        xp = np.zeros((n, c_in, h + 2 * padding, wid + 2 * padding), dtype=dt)
-        xp[:, :, padding:padding + h, padding:padding + wid] = x
-    else:
-        xp = x
-
-    acc = np.zeros((n, c_out, ho, wo), dtype=np.float64)
-    for di in range(k):
-        for dj in range(k):
-            xs = xp[:, :, di:di + stride * ho:stride, dj:dj + stride * wo:stride]
-            if depthwise:
-                acc += xs * w[:, 0, di, dj][None, :, None, None]
-            else:
-                acc += np.matmul(w[:, :, di, dj],
-                                 xs.reshape(n, c_in, ho * wo)).reshape(n, c_out, ho, wo)
+    xp, taps = _pad_and_taps(x, k, stride, padding, ho, wo)
+    acc = np.zeros((n, c_out, ho, wo), dtype=x.dtype)
+    tmp = np.empty_like(acc)
+    for di, dj, at in taps:
+        if depthwise:
+            np.multiply(xp[at], w[:, 0, di, dj][None, :, None, None], out=tmp)
+        else:
+            np.matmul(w[:, :, di, dj], xp[at].reshape(n, c_in, ho * wo),
+                      out=tmp.reshape(n, c_out, ho * wo))
+        acc += tmp
     if b is not None:
-        acc += b.astype(np.float64)[None, :, None, None]
+        acc += b[None, :, None, None]
 
     def bw(g):
-        gxp = np.zeros(xp.shape, dtype=np.float64)
-        gw = np.zeros(w.shape, dtype=np.float64)
-        for di in range(k):
-            for dj in range(k):
-                xs = xp[:, :, di:di + stride * ho:stride, dj:dj + stride * wo:stride]
-                target = gxp[:, :, di:di + stride * ho:stride, dj:dj + stride * wo:stride]
-                if depthwise:
-                    gw[:, 0, di, dj] = np.einsum("nchw,nchw->c", g, xs)
-                    target += g * w[:, 0, di, dj][None, :, None, None]
-                else:
-                    gr = g.reshape(n, c_out, ho * wo)
-                    xr = xs.reshape(n, c_in, ho * wo)
-                    gw[:, :, di, dj] = np.matmul(gr, xr.transpose(0, 2, 1)).sum(axis=0)
-                    target += np.matmul(w[:, :, di, dj].T, gr).reshape(n, c_in, ho, wo)
-        gx = gxp[:, :, padding:padding + h, padding:padding + wid] if padding else gxp
-        return gx.astype(dt, copy=False), gw.astype(dt, copy=False)
+        gxp = np.zeros(xp.shape, dtype=x.dtype)
+        gw = np.empty(w.shape, dtype=w.dtype)
+        tmp = np.empty((n, c_in, ho, wo), dtype=x.dtype)
+        if depthwise:
+            prod = np.empty_like(tmp)
+        else:
+            gr = g.reshape(n, c_out, ho * wo)
+        for di, dj, at in taps:
+            if depthwise:
+                gw[:, 0, di, dj] = np.multiply(g, xp[at], out=prod).sum(axis=(0, 2, 3))
+                np.multiply(g, w[:, 0, di, dj][None, :, None, None], out=tmp)
+            else:
+                xr = xp[at].reshape(n, c_in, ho * wo)
+                gw[:, :, di, dj] = np.matmul(gr, xr.transpose(0, 2, 1)).sum(axis=0)
+                np.matmul(w[:, :, di, dj].T, gr, out=tmp.reshape(n, c_in, ho * wo))
+            gxp[at] += tmp
+        return gxp[:, :, padding:padding + h, padding:padding + wid], gw
 
-    return acc.astype(dt, copy=False), bw
+    return acc, bw
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
@@ -615,11 +698,13 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     (groups == 1) and depth-wise (groups == C_in == C_out); any other
     ``groups`` raises ShapeError.
 
-    The kernel follows from the shapes. A dense 1x1 stride-1 conv is one
-    matmul; a depth-wise stride-1 conv with k >= 5 and same padding runs
-    through an FFT; every other conv is a loop over the k*k taps. The
-    matmul and FFT kernels compute in the tensor's dtype, the tap loop
-    sums in f64, and in f64 all three stay exact enough for gradcheck.
+    The kernel follows from the shapes. A dense conv is one matmul over
+    its stacked tap windows when k is 1 or that stack, C_in*k*k rows, is
+    no larger than the C_out-row output (the 1-channel intro); a
+    depth-wise stride-1 conv with k >= 5 and same padding runs through an
+    FFT; every other conv is a loop over the k*k taps. The kernels all
+    compute in the tensor's dtype, so f64 stays exact enough for
+    gradcheck and f32 sums in f32.
     """
     _check_same_dtype(x, weight, *([bias] if bias is not None else []))
     batched = _split_batch(x.shape, 3)
@@ -644,8 +729,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     wo = _conv_out_extent(w, k, stride, padding)
 
     bd = None if bias is None else bias.data
-    if k == 1 and groups == 1 and stride == 1 and padding == 0:
-        out_data, kernel_bw = _conv_1x1(xd, weight.data, bd)
+    if groups == 1 and (k == 1 or c_in * k * k <= c_out):
+        out_data, kernel_bw = _conv_matmul(xd, weight.data, bd, stride, padding, ho, wo)
     elif depthwise and stride == 1 and k >= 5 and 2 * padding == k - 1:
         out_data, kernel_bw = _conv_dw_fft(xd, weight.data, bd, padding)
     else:

@@ -202,6 +202,7 @@ def test_criterion_7_identity_at_init():
     report(7, "identity at initialization (bit-exact, all presets)", ok)
 
 
+@pytest.mark.slow
 def test_criterion_8_overfit_smoke(overfit_dataset):
     t0 = time.perf_counter()
     model = build_model(OVERFIT_MODEL, seed=1)

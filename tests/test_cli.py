@@ -101,6 +101,21 @@ class TestInfer:
         assert code == 1
         assert "error:" in err
 
+    def test_corrupt_checkpoint_header_errors(self, tmp_path, capsys):
+        """One bit turns the header's "manifest" into "mcnifest"."""
+        ckpt = tmp_path / "t.mckp"
+        save_checkpoint(build_model(preset("T"), seed=1), ckpt)
+        raw = bytearray(ckpt.read_bytes())
+        raw[raw.index(b'"manifest"') + 2] ^= 0x02
+        ckpt.write_bytes(bytes(raw))
+        src = tmp_path / "in.mtsr"
+        tio.save_tensor(src, np.zeros((32, 32), dtype=np.float32))
+        code, _, err = run(capsys, "infer", "--ckpt", str(ckpt), "--input", str(src),
+                           "--output", str(tmp_path / "out.mtsr"))
+        assert code == 1
+        assert err.startswith("error:") and "corrupt header" in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_non_finite_input_rejected(self, tmp_path, capsys):
         ckpt = tmp_path / "t.mckp"
         save_checkpoint(build_model(preset("T"), seed=1), ckpt)
@@ -262,6 +277,36 @@ class TestThreadCap:
         assert err.startswith("MARFORMER_THREADS=3: kept OMP_NUM_THREADS=8, already set")
         assert "numpy is already imported" in err
         assert len(err.splitlines()) == 1
+
+
+    @staticmethod
+    def run_python(*args, **env_extra):
+        """Run a fresh interpreter on this source tree with no BLAS variable set."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import ctmar
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                            "NUMEXPR_NUM_THREADS", "MARFORMER_THREADS")}
+        env["PYTHONPATH"] = str(Path(ctmar.__file__).resolve().parents[1])
+        env.update(env_extra)
+        return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                              text=True, timeout=120)
+
+    def test_cli_import_loads_no_numpy(self):
+        proc = self.run_python("-c", "import sys, ctmar.cli; print('numpy' in sys.modules)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+    def test_cap_applies_before_numpy_loads(self):
+        proc = self.run_python("-m", "ctmar.cli", "count", "--preset", "T", "--res", "32",
+                               MARFORMER_THREADS="1")
+        assert proc.returncode == 0, proc.stderr
+        assert "numpy is already imported" not in proc.stderr
+        assert "MARFORMER_THREADS" not in proc.stderr
 
 
 class TestParser:

@@ -5,6 +5,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ctmar.io import FormatError, load_tensor, read_tensor, save_tensor, write_tensor
 
@@ -98,3 +100,51 @@ def test_trailing_bytes_rejected(tmp_path):
         fh.write(b"junk")
     with pytest.raises(FormatError, match="trailing"):
         load_tensor(path)
+
+
+@pytest.mark.parametrize("arr", [np.arange(60, dtype=np.float32).reshape(3, 4, 5),
+                                 np.linspace(-1, 1, 7)], ids=["f32-rank3", "f64-rank1"])
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_truncation_or_bit_flip_raises_only_format_error(tmp_path, arr, data):
+    """Cut a written file at any length, or flip any one bit: load_tensor
+    raises FormatError and nothing else. MTSR1 has no checksum, so a flip
+    in the payload loads, with the same shape and the one value changed;
+    a flip anywhere in the header is always caught."""
+    path = tmp_path / "t.mtsr"
+    save_tensor(path, arr)
+    raw = bytearray(path.read_bytes())
+    header_bytes = 7 + 4 * arr.ndim
+    if data.draw(st.booleans(), label="truncate"):
+        path.write_bytes(raw[:data.draw(st.integers(0, len(raw) - 1), label="length")])
+        with pytest.raises(FormatError):
+            load_tensor(path)
+        return
+    bit = data.draw(st.integers(0, 8 * len(raw) - 1), label="bit")
+    raw[bit // 8] ^= 1 << (bit % 8)
+    path.write_bytes(bytes(raw))
+    if bit < 8 * header_bytes:
+        with pytest.raises(FormatError):
+            load_tensor(path)
+    else:
+        back = load_tensor(path)
+        assert back.shape == arr.shape
+        assert np.count_nonzero(back.view(np.uint8) != arr.view(np.uint8)) == 1
+
+
+def test_corrupt_extent_does_not_size_the_read():
+    """An extent with its top bit flipped is reported as truncated rather
+    than asking the stream for gigabytes."""
+    buf = io.BytesIO()
+    write_tensor(buf, np.zeros((2, 3), dtype=np.float32))
+    raw = bytearray(buf.getvalue())
+    raw[7 + 3] ^= 0x80                      # first extent: 2 -> 2 + 2**31
+
+    class Guarded(io.BytesIO):
+        def read(self, size=-1):
+            assert size < 1 << 20, f"read of {size} bytes"
+            return super().read(size)
+
+    with pytest.raises(FormatError, match="truncated payload"):
+        read_tensor(Guarded(bytes(raw)))

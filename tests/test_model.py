@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ctmar.model import (
     ChannelAttention,
@@ -361,6 +363,114 @@ class TestCheckpoint:
         path = tmp_path / "bad.mckp"
         path.write_bytes(b"not a checkpoint at all")
         with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    @staticmethod
+    def rewrite_header(path, mutate, version=None):
+        """Re-encode the JSON header after ``mutate(header)``, keeping the payload."""
+        import json as _json
+        import struct as _struct
+        raw = path.read_bytes()
+        old_version, header_len = _struct.unpack("<BI", raw[4:9])
+        header = _json.loads(raw[9:9 + header_len])
+        mutate(header)
+        body = _json.dumps(header).encode()
+        path.write_bytes(raw[:4] + _struct.pack("<BI", version or old_version, len(body))
+                         + body + raw[9 + header_len:])
+
+    @pytest.mark.parametrize("mutate", [
+        lambda h: h.pop("dtype"),
+        lambda h: h.update(note="extra"),
+        lambda h: h.update(dtype="f16"),
+        lambda h: h.update(manifest={"name": "intro.weight"}),
+        lambda h: h["manifest"][0].update(offset="0"),
+        lambda h: h["manifest"][0].pop("dtype"),
+        lambda h: h["manifest"][1].update(extra=1),
+        lambda h: h.update(crc32="0"),
+    ], ids=["no-dtype", "extra-key", "bad-dtype", "manifest-not-list", "offset-not-int",
+            "entry-no-dtype", "entry-extra-key", "crc-not-int"])
+    def test_corrupt_header_rejected(self, tmp_path, mutate):
+        path = tmp_path / "model.mckp"
+        save_checkpoint(build_model(TINY, seed=1), path)
+        self.rewrite_header(path, mutate)
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    def test_corrupt_header_bit_flip_rejected(self, tmp_path):
+        """One bit turns "manifest" into "mcnifest"."""
+        path = tmp_path / "model.mckp"
+        save_checkpoint(build_model(TINY, seed=1), path)
+        raw = bytearray(path.read_bytes())
+        at = raw.index(b'"manifest"') + 2
+        raw[at] ^= 0x02
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError, match="corrupt header"):
+            load_checkpoint(path)
+
+    def test_corrupt_header_length_rejected(self, tmp_path):
+        """A header length past the end of the file is reported as such,
+        before any read is sized from it."""
+        path = tmp_path / "model.mckp"
+        save_checkpoint(build_model(TINY, seed=1), path)
+        raw = bytearray(path.read_bytes())
+        raw[8] ^= 0x80                          # top bit of the u32 header length
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError, match="truncated header"):
+            load_checkpoint(path)
+
+    def test_corrupt_payload_bit_rejected(self, tmp_path):
+        """A flipped value bit fails the version 2 payload CRC32."""
+        path = tmp_path / "model.mckp"
+        save_checkpoint(build_model(TINY, seed=1), path)
+        raw = bytearray(path.read_bytes())
+        raw[-3] ^= 0x10
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError, match="CRC32"):
+            load_checkpoint(path)
+
+    def test_version_1_still_loads(self, tmp_path):
+        rng = np.random.default_rng(5)
+        model = build_model(TINY, seed=3)
+        path = tmp_path / "model.mckp"
+        save_checkpoint(model, path)
+        self.rewrite_header(path, lambda h: h.pop("crc32"), version=1)
+        x = rand_image(rng)
+        np.testing.assert_array_equal(load_checkpoint(path).forward(x).data,
+                                      model.forward(x).data)
+        # a version 1 header has no CRC field
+        self.rewrite_header(path, lambda h: h.update(crc32=0))
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    @settings(max_examples=120, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_truncation_or_bit_flip_raises_only_checkpoint_error(self, tmp_path, data):
+        """Cut a checkpoint at any length, or flip any one bit: load_checkpoint
+        raises CheckpointError and nothing else. A payload flip fails the
+        CRC32; a header flip fails the JSON, the key and type checks, the
+        config or the shapes (a sweep over all 79,240 bits before this
+        file's payload found none that loads)."""
+        path = tmp_path / "model.mckp"
+        if not path.exists():
+            save_checkpoint(build_model(TINY, seed=1), path)
+            (tmp_path / "good.mckp").write_bytes(path.read_bytes())
+        raw = bytearray((tmp_path / "good.mckp").read_bytes())
+        payload_start = 9 + int.from_bytes(raw[5:9], "little")
+        if data.draw(st.booleans(), label="truncate"):
+            path.write_bytes(raw[:data.draw(st.integers(0, len(raw) - 1), label="length")])
+            with pytest.raises(CheckpointError):
+                load_checkpoint(path)
+            return
+        # half the flips land in the payload, half before it
+        if data.draw(st.booleans(), label="in payload"):
+            bit = data.draw(st.integers(8 * payload_start, 8 * len(raw) - 1), label="bit")
+        else:
+            bit = data.draw(st.integers(0, 8 * payload_start - 1), label="bit")
+        raw[bit // 8] ^= 1 << (bit % 8)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError,
+                           match="CRC32" if bit >= 8 * payload_start else None):
             load_checkpoint(path)
 
     def test_truncated_payload_rejected(self, tmp_path):

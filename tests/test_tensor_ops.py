@@ -162,13 +162,23 @@ def _case(kind, n, c_in, c_out, h, w, k, stride, padding, dtype="f32", batched=T
 
 @st.composite
 def conv_cases(draw, kind):
-    """Shapes for one conv2d kernel: "dense1x1" (matmul), "dw_fft"
-    (depth-wise, stride 1, same padding, k in {5, 7}) or "dw_taps"
-    (depth-wise, strided or not same-padded, which stays on the tap loop)."""
-    c = draw(st.integers(1, 3))
-    c_out = draw(st.integers(1, 4)) if kind == "dense1x1" else c
+    """Shapes for one conv2d kernel: "dense1x1" (matmul), "dense3x3_matmul"
+    (3x3 with C_in*9 <= C_out, the intro's shape, also one matmul),
+    "dense3x3_taps" (3x3 with fewer output channels, the outro's shape,
+    on the tap loop), "dw_fft" (depth-wise, stride 1, same padding, k in
+    {5, 7}) or "dw_taps" (depth-wise, strided or not same-padded, which
+    stays on the tap loop)."""
+    c = draw(st.integers(1, 2 if kind == "dense3x3_matmul" else 3))
+    if kind == "dense3x3_matmul":
+        c_out = draw(st.integers(9 * c, 9 * c + 2))
+    elif kind in ("dense1x1", "dense3x3_taps"):
+        c_out = draw(st.integers(1, 4))
+    else:
+        c_out = c
     if kind == "dense1x1":
         k, stride, padding = 1, 1, 0
+    elif kind.startswith("dense3x3"):
+        k, stride, padding = 3, draw(st.integers(1, 2)), draw(st.integers(0, 1))
     elif kind == "dw_fft":
         k = draw(st.sampled_from([5, 7]))
         stride, padding = 1, k // 2
@@ -192,7 +202,8 @@ class TestConv2dProperty:
     # sum, so it holds for rounding in any summation order
     TOL = {"f32": 1e-5, "f64": 1e-12}
 
-    @pytest.mark.parametrize("kind", ["dense1x1", "dw_fft", "dw_taps"])
+    @pytest.mark.parametrize("kind", ["dense1x1", "dw_fft", "dw_taps", "dense3x3_matmul",
+                                      "dense3x3_taps"])
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(data=st.data())
     def test_matches_loop_reference(self, kind, data):
@@ -207,9 +218,13 @@ class TestConv2dProperty:
         _case("dw_taps", 2, 2, 2, 8, 10, 7, 1, 0, dtype="f64"),
         _case("dense1x1", 2, 3, 4, 6, 9, 1, 1, 0),
         _case("dense1x1", 1, 3, 4, 6, 9, 1, 1, 0, dtype="f64", batched=False),
+        _case("dense3x3_matmul", 2, 1, 9, 9, 8, 3, 1, 1),
+        _case("dense3x3_matmul", 1, 2, 18, 7, 9, 3, 2, 1, dtype="f64"),
+        _case("dense3x3_taps", 2, 3, 1, 8, 9, 3, 1, 1),
     ], ids=["fft-8x8", "fft-8x8-unbatched-f64", "fft-5x11", "fft-12x7-f64",
             "taps-strided-9x8", "taps-unpadded-8x10-f64", "1x1-batch2",
-            "1x1-unbatched-f64"])
+            "1x1-unbatched-f64", "3x3-matmul-intro", "3x3-matmul-strided-f64",
+            "3x3-taps-outro"])
     def test_named_shapes(self, case):
         self.check(case)
 
@@ -223,7 +238,7 @@ class TestConv2dProperty:
     def check(self, case):
         rng = np.random.default_rng(case["seed"])
         n, c_in, c_out, k = case["n"], case["c_in"], case["c_out"], case["k"]
-        groups = c_in if case["kind"] != "dense1x1" else 1
+        groups = 1 if case["kind"].startswith("dense") else c_in
         dt = np.float32 if case["dtype"] == "f32" else np.float64
         x = rng.normal(size=(n, c_in, case["h"], case["w"])).astype(dt)
         w = rng.normal(size=(c_out, c_in // groups, k, k)).astype(dt)
@@ -301,6 +316,34 @@ class TestGelu:
         for x, expected in GELU_ORACLE.items():
             got = gelu(Tensor(np.array(x, dtype=np.float64))).item()
             assert got == pytest.approx(expected, abs=1e-12)
+
+    def test_f32_erf_bound(self):
+        """The f32 rational erf against scipy's f64 erf on 2M grid points."""
+        from scipy.special import erf
+        z = np.linspace(-8.0, 8.0, 2_000_001).astype(np.float32)
+        got = tensor_module._erf_f32(z.copy()).astype(np.float64)
+        assert np.abs(got - erf(z.astype(np.float64))).max() <= 5e-7
+
+    def test_f32_non_finite(self):
+        out = gelu(Tensor(np.array([np.nan, np.inf, 1.0], dtype=np.float32))).data
+        assert np.isnan(out[0]) and out[1] == np.inf and out.dtype == np.float32
+
+    def test_f32_matches_f64_path(self):
+        """Output and gradient of the f32 path within 1e-6 max(1, |x|) of the
+        f64 path on the same inputs, over several blocks, with the upstream
+        gradient arriving as a transposed (non-contiguous) view."""
+        x = np.linspace(-12.0, 12.0, 3 * tensor_module._GELU_BLOCK + 8).astype(np.float32)
+        x = x.reshape(2, -1)
+        g = np.cos(x.T).astype(np.float32)
+        results = []
+        for dt in (np.float32, np.float64):
+            xt = Tensor(x.astype(dt), requires_grad=True)
+            out = gelu(xt)
+            tsum(mul(transpose(out), Tensor(g.astype(dt)))).backward()
+            results.append((out.data.astype(np.float64), xt.grad.astype(np.float64)))
+        bound = 1e-6 * np.maximum(1.0, np.abs(x.astype(np.float64)))
+        for got, want in zip(*results):
+            assert np.all(np.abs(got - want) <= bound)
 
 
 class TestSoftmax:
