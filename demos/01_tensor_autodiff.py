@@ -13,7 +13,7 @@ rng = np.random.default_rng(0)
 # Tensors wrap contiguous float arrays. Ops build a tape when any input
 # requires gradients; backward() consumes it once.
 w = Tensor(rng.normal(size=(4, 2, 3, 3)), requires_grad=True)
-x = Tensor(rng.normal(size=(2, 8, 8)))
+x = Tensor(rng.normal(size=(1, 2, 8, 8)))
 
 y = conv2d(x, w, padding=1)
 print("conv output shape:", y.shape)

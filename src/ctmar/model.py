@@ -230,7 +230,7 @@ class ChannelAttention(Module):
     Queries/keys are computed at a 1/spatial_ratio resolution (the 3x3
     depth-wise projection conv takes the stride, so the reduction costs
     no extra parameters) and keys/values at channels/channel_ratio
-    width. Values keep full resolution, so the output stays (C,H,W).
+    width. Values keep full resolution, so the output stays (N,C,H,W).
     Each branch reduces before it projects: Q/K run the strided
     depth-wise conv first, V shrinks channels first.
     """
@@ -269,11 +269,6 @@ class ChannelAttention(Module):
         return q, k, v
 
     def forward(self, x: Tensor) -> Tensor:
-        if x.ndim != 4:
-            x = reshape(x, (1,) + x.shape)
-            squeeze = True
-        else:
-            squeeze = False
         n, c, height, width = x.shape
         q, k, v = self.project_qkv(x)
         sp = q.shape[-1]
@@ -282,10 +277,7 @@ class ChannelAttention(Module):
         attn = softmax(scores, axis=-1)
         mixed = matmul(attn, v)
         mixed = reshape(mixed, (n, c, height, width))
-        out = self.out_proj.forward(mixed)
-        if squeeze:
-            out = reshape(out, (c, height, width))
-        return out
+        return self.out_proj.forward(mixed)
 
 
 class ConvFeedForward(Module):
@@ -367,21 +359,28 @@ class MARNet(Module):
             setattr(self, key, part)
 
     def forward(self, image: Tensor) -> Tensor:
-        """Restore a slice; accepts (1,H,W) or (N,1,H,W) with H, W divisible by 8."""
+        """Restore a slice; accepts (1,H,W) or (N,1,H,W) with H, W divisible by 8.
+
+        Every module runs on (N,C,H,W): a (1,H,W) slice goes through as a
+        batch of one and comes back as (1,H,W).
+        """
         if image.ndim not in (3, 4) or image.shape[-3] != 1:
             raise ShapeError(f"expected (1,H,W) or (N,1,H,W), got {image.shape}")
         h, w = image.shape[-2:]
         if h % 8 or w % 8:
             raise ShapeError(f"spatial extents {h}x{w} must be divisible by 8")
-        x, skips = image, []
+        x = reshape(image, (1,) + image.shape) if image.ndim == 3 else image
+        skips = []
         for key, kind, _ in STAGES:
             part = getattr(self, key)
             if kind == "down":
                 skips.append(x)
             elif kind == "reduce":
-                x = concat([x, skips.pop()], axis=-3)
+                x = concat([x, skips.pop()], axis=1)
             for module in part if kind == "blocks" else [part]:
                 x = module.forward(x)
+        if image.ndim == 3:
+            x = reshape(x, image.shape)
         return image + x
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import List, Optional, Tuple, Union
 
@@ -46,10 +46,6 @@ class Sinogram:
 
     values: np.ndarray
     spacing: float          # detector pitch == pixel pitch, in mm
-
-    @property
-    def n_angles(self) -> int:
-        return self.values.shape[0]
 
 
 @dataclass
@@ -370,15 +366,8 @@ def make_dataset(n_pairs: int, size: int, seed: int,
         manifest.pairs.append(PairRecord(
             pair_id=i, clean_path=clean_name, ma_path=ma_name,
             split=_split_for(i, n_pairs), mask_pixel_count=int(mask.sum())))
-    payload = {
-        "size": manifest.size,
-        "seed": manifest.seed,
-        "spacing": manifest.spacing,
-        "n_pairs": manifest.n_pairs,
-        "pairs": [vars(p) for p in manifest.pairs],
-    }
     with open(out / MANIFEST_NAME, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(asdict(manifest), fh, indent=2, sort_keys=True)
         fh.write("\n")
     return manifest
 

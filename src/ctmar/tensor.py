@@ -230,6 +230,13 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad.reshape(shape)
 
 
+def _nchw(a: Tensor, op: str) -> tuple:
+    """``a``'s (N, C, H, W) extents; ShapeError unless it is 4-D."""
+    if a.ndim != 4:
+        raise ShapeError(f"{op} expects (N,C,H,W), got shape {a.shape}")
+    return a.shape
+
+
 # -- elementwise ops ---------------------------------------------------------
 
 
@@ -402,37 +409,32 @@ def softmax(a: Tensor, axis: int) -> Tensor:
 def layernorm_channels(a: Tensor, gamma: Tensor, eps: float = 1e-6) -> Tensor:
     """Standardize the channel vector at every spatial location, then scale.
 
-    ``a`` is (C,H,W) or (N,C,H,W); ``gamma`` is per-channel (C,). There
-    is no bias term.
+    ``a`` is (N,C,H,W); ``gamma`` is per-channel (C,). There is no bias
+    term.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    if a.ndim not in (3, 4):
-        raise ShapeError(f"layernorm_channels expects (C,H,W) or (N,C,H,W), got {a.shape}")
-    ch_axis = a.ndim - 3
-    c = a.shape[ch_axis]
+    _, c, _, _ = _nchw(a, "layernorm_channels")
     if gamma.shape != (c,):
         raise ShapeError(f"gamma shape {gamma.shape} does not match {c} channels")
     _check_same_dtype(a, gamma)
 
     x = a.data
-    expand = (slice(None), None, None)  # (C,) -> (C,1,1), broadcasts for 3-D and 4-D
-    mu = x.mean(axis=ch_axis, keepdims=True)
+    scale = gamma.data[:, None, None]
+    mu = x.mean(axis=1, keepdims=True)
     xc = x - mu
-    var = (xc * xc).mean(axis=ch_axis, keepdims=True)
+    var = (xc * xc).mean(axis=1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
-    y = xhat * gamma.data[expand]
+    y = xhat * scale
     out = Tensor(y.astype(x.dtype, copy=False))
 
-    reduce_axes = tuple(i for i in range(a.ndim) if i != ch_axis)
-
     def bw(g):
-        dxhat = g * gamma.data[expand]
-        m1 = dxhat.mean(axis=ch_axis, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=ch_axis, keepdims=True)
+        dxhat = g * scale
+        m1 = dxhat.mean(axis=1, keepdims=True)
+        m2 = (dxhat * xhat).mean(axis=1, keepdims=True)
         dx = inv * (dxhat - m1 - xhat * m2)
-        return dx, (g * xhat).sum(axis=reduce_axes)
+        return dx, (g * xhat).sum(axis=(0, 2, 3))
 
     return out._record((a, gamma), bw)
 
@@ -466,57 +468,38 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 # -- pixel shuffle ------------------------------------------------------------
 
 
-def _split_batch(shape: tuple, want: int) -> bool:
-    """True if the input carries a leading batch axis (rank want+1)."""
-    if len(shape) == want:
-        return False
-    if len(shape) == want + 1:
-        return True
-    raise ShapeError(f"expected rank {want} or {want + 1}, got shape {shape}")
-
-
 def pixel_unshuffle(a: Tensor, r: int) -> Tensor:
-    """(C,H,W) -> (C*r*r, H/r, W/r); block (dy,dx) lands at channel c*r*r + dy*r + dx."""
+    """(N,C,H,W) -> (N,C*r*r,H/r,W/r); block (dy,dx) lands at channel c*r*r + dy*r + dx."""
     if r < 1:
         raise ValueError("r must be >= 1")
-    _split_batch(a.shape, 3)
-    c, h, w = a.shape[-3:]
+    n, c, h, w = _nchw(a, "pixel_unshuffle")
     if h % r or w % r:
         raise ShapeError(f"spatial extents {h}x{w} not divisible by r={r}")
-    lead = a.shape[:-3]
-    x = a.data.reshape(lead + (c, h // r, r, w // r, r))
-    n = len(lead)
-    perm = tuple(range(n)) + (n, n + 2, n + 4, n + 1, n + 3)
-    y = x.transpose(perm).reshape(lead + (c * r * r, h // r, w // r))
+    x = a.data.reshape(n, c, h // r, r, w // r, r)
+    y = x.transpose(0, 1, 3, 5, 2, 4).reshape(n, c * r * r, h // r, w // r)
     out = Tensor(np.ascontiguousarray(y))
 
     def bw(g):
-        gg = g.reshape(lead + (c, r, r, h // r, w // r))
-        inv = tuple(range(n)) + (n, n + 3, n + 1, n + 4, n + 2)
-        return (np.ascontiguousarray(gg.transpose(inv).reshape(a.shape)),)
+        gg = g.reshape(n, c, r, r, h // r, w // r)
+        return (np.ascontiguousarray(gg.transpose(0, 1, 4, 2, 5, 3).reshape(a.shape)),)
 
     return out._record((a,), bw)
 
 
 def pixel_shuffle(a: Tensor, r: int) -> Tensor:
-    """(C,H,W) -> (C/r^2, H*r, W*r); exact inverse of pixel_unshuffle."""
+    """(N,C,H,W) -> (N,C/r^2,H*r,W*r); exact inverse of pixel_unshuffle."""
     if r < 1:
         raise ValueError("r must be >= 1")
-    _split_batch(a.shape, 3)
-    c, h, w = a.shape[-3:]
+    n, c, h, w = _nchw(a, "pixel_shuffle")
     if c % (r * r):
         raise ShapeError(f"channel extent {c} not divisible by r^2={r * r}")
-    lead = a.shape[:-3]
-    n = len(lead)
-    x = a.data.reshape(lead + (c // (r * r), r, r, h, w))
-    perm = tuple(range(n)) + (n, n + 3, n + 1, n + 4, n + 2)
-    y = x.transpose(perm).reshape(lead + (c // (r * r), h * r, w * r))
+    x = a.data.reshape(n, c // (r * r), r, r, h, w)
+    y = x.transpose(0, 1, 4, 2, 5, 3).reshape(n, c // (r * r), h * r, w * r)
     out = Tensor(np.ascontiguousarray(y))
 
     def bw(g):
-        gg = g.reshape(lead + (c // (r * r), h, r, w, r))
-        inv = tuple(range(n)) + (n, n + 2, n + 4, n + 1, n + 3)
-        return (np.ascontiguousarray(gg.transpose(inv).reshape(a.shape)),)
+        gg = g.reshape(n, c // (r * r), h, r, w, r)
+        return (np.ascontiguousarray(gg.transpose(0, 1, 3, 5, 2, 4).reshape(a.shape)),)
 
     return out._record((a,), bw)
 
@@ -693,10 +676,9 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
            stride: int = 1, padding: int = 0, groups: int = 1) -> Tensor:
     """2-D convolution (cross-correlation) with square odd kernels.
 
-    ``x`` is (C_in,H,W) or (N,C_in,H,W); ``weight`` is
-    (C_out, C_in/groups, k, k). Two groupings are supported: dense
-    (groups == 1) and depth-wise (groups == C_in == C_out); any other
-    ``groups`` raises ShapeError.
+    ``x`` is (N,C_in,H,W); ``weight`` is (C_out, C_in/groups, k, k). Two
+    groupings are supported: dense (groups == 1) and depth-wise
+    (groups == C_in == C_out); any other ``groups`` raises ShapeError.
 
     The kernel follows from the shapes. A dense conv is one matmul over
     its stacked tap windows when k is 1 or that stack, C_in*k*k rows, is
@@ -707,9 +689,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     gradcheck and f32 sums in f32.
     """
     _check_same_dtype(x, weight, *([bias] if bias is not None else []))
-    batched = _split_batch(x.shape, 3)
-    xd = x.data if batched else x.data[None]
-    n, c_in, h, w = xd.shape
+    _, c_in, h, w = _nchw(x, "conv2d")
     if weight.ndim != 4 or weight.shape[-1] != weight.shape[-2]:
         raise ShapeError(f"weight must be (C_out, C_in/groups, k, k), got {weight.shape}")
     c_out, c_in_g, k, _ = weight.shape
@@ -730,21 +710,17 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
 
     bd = None if bias is None else bias.data
     if groups == 1 and (k == 1 or c_in * k * k <= c_out):
-        out_data, kernel_bw = _conv_matmul(xd, weight.data, bd, stride, padding, ho, wo)
+        out_data, kernel_bw = _conv_matmul(x.data, weight.data, bd, stride, padding, ho, wo)
     elif depthwise and stride == 1 and k >= 5 and 2 * padding == k - 1:
-        out_data, kernel_bw = _conv_dw_fft(xd, weight.data, bd, padding)
+        out_data, kernel_bw = _conv_dw_fft(x.data, weight.data, bd, padding)
     else:
-        out_data, kernel_bw = _conv_taps(xd, weight.data, bd, stride, padding,
+        out_data, kernel_bw = _conv_taps(x.data, weight.data, bd, stride, padding,
                                          depthwise, ho, wo)
-    out = Tensor(out_data if batched else out_data[0])
+    out = Tensor(out_data)
 
     def bw(g):
-        gd = g if batched else g[None]
-        gx, gw = kernel_bw(gd)
-        grads = [gx if batched else gx[0], gw]
-        if bias is not None:
-            grads.append(gd.sum(axis=(0, 2, 3)))
-        return tuple(grads)
+        gx, gw = kernel_bw(g)
+        return (gx, gw) if bias is None else (gx, gw, g.sum(axis=(0, 2, 3)))
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return out._record(parents, bw)

@@ -78,18 +78,18 @@ class TestLevelTransitions:
     def test_downsample_channel_law(self):
         rng = np.random.default_rng(0)
         down = Downsample(rng, 48, 96)
-        out = down.forward(Tensor(rng.normal(size=(48, 64, 64)).astype(np.float32)))
-        assert out.shape == (96, 32, 32)
+        out = down.forward(Tensor(rng.normal(size=(1, 48, 64, 64)).astype(np.float32)))
+        assert out.shape == (1, 96, 32, 32)
 
     def test_downsample_fixed_width(self):
         rng = np.random.default_rng(0)
         down = Downsample(rng, 48, 48)
-        out = down.forward(Tensor(rng.normal(size=(48, 64, 64)).astype(np.float32)))
-        assert out.shape == (48, 32, 32)
+        out = down.forward(Tensor(rng.normal(size=(1, 48, 64, 64)).astype(np.float32)))
+        assert out.shape == (1, 48, 32, 32)
 
     def test_up_down_shape_inverse(self):
         rng = np.random.default_rng(1)
-        x = Tensor(rng.normal(size=(16, 8, 8)).astype(np.float32))
+        x = Tensor(rng.normal(size=(1, 16, 8, 8)).astype(np.float32))
         down = Downsample(rng, 16, 32)
         up = Upsample(rng, 32, 16)
         assert up.forward(down.forward(x)).shape == x.shape
@@ -140,10 +140,10 @@ class TestChannelAttention:
         # cancel the 1/sqrt(S') factor so the score scale is exactly 1
         attn.temperature.data = np.full((1, 1, 1), -0.5 * math.log(h * w), dtype=np.float32)
 
-        x = rng.normal(size=(c, h, w)).astype(np.float32)
+        x = rng.normal(size=(1, c, h, w)).astype(np.float32)
         out = attn.forward(Tensor(x)).data
 
-        flat = x.reshape(c, h * w).astype(np.float64)
+        flat = x[0].reshape(c, h * w).astype(np.float64)
         scores = np.empty((c, c))
         for i in range(c):
             for j in range(c):
@@ -163,7 +163,7 @@ class TestConvFeedForward:
         ffn = ConvFeedForward(rng, 8, 2.0, 7)
         for conv in (ffn.conv_in, ffn.conv_dw, ffn.conv_out):
             conv.weight.data[:] = 0.0
-        x = Tensor(rng.normal(size=(8, 16, 16)).astype(np.float32))
+        x = Tensor(rng.normal(size=(1, 8, 16, 16)).astype(np.float32))
         np.testing.assert_array_equal(ffn.forward(x).data, np.zeros_like(x.data))
 
     def test_shape_preserved(self):
@@ -188,8 +188,8 @@ class TestConvFeedForward:
             return v * 0.5 * (1.0 + math.erf(v / math.sqrt(2.0)))
 
         expected = e * g(c * g(a * x)) + f * g(d * g(b * x))
-        out = ffn.forward(Tensor(np.array([[[x]]], dtype=np.float32)))
-        assert out.data[0, 0, 0] == pytest.approx(expected, rel=1e-5)
+        out = ffn.forward(Tensor(np.array([[[[x]]]], dtype=np.float32)))
+        assert out.data[0, 0, 0, 0] == pytest.approx(expected, rel=1e-5)
 
 
 class TestTransformerBlock:
@@ -199,13 +199,13 @@ class TestTransformerBlock:
         for _, t in block.named_params():
             if t.ndim == 4:  # conv weights only; norms keep gamma=1
                 t.data[:] = 0.0
-        x = Tensor(rng.normal(size=(8, 16, 16)).astype(np.float32))
+        x = Tensor(rng.normal(size=(1, 8, 16, 16)).astype(np.float32))
         np.testing.assert_array_equal(block.forward(x).data, x.data)
 
     def test_deterministic_repeat(self):
         rng = np.random.default_rng(9)
         block = TransformerBlock(rng, 8, 1, TINY)
-        x = Tensor(rng.normal(size=(8, 8, 8)).astype(np.float32))
+        x = Tensor(rng.normal(size=(1, 8, 8, 8)).astype(np.float32))
         first = block.forward(x).data
         second = block.forward(x).data
         np.testing.assert_array_equal(first, second)

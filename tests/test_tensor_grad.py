@@ -81,9 +81,9 @@ def test_softmax(rng):
 
 
 def test_layernorm(rng):
-    x = rng.normal(size=(4, 3, 3))
+    x = rng.normal(size=(1, 4, 3, 3))
     gamma = rng.normal(size=4)
-    w = rng.normal(size=(4, 3, 3))
+    w = rng.normal(size=(1, 4, 3, 3))
     check_grad(lambda a, g: tsum(layernorm_channels(a, g) * Tensor(w)), x, gamma)
 
 
@@ -111,11 +111,11 @@ def test_reshape_transpose_concat(rng):
 
 
 def test_pixel_shuffles(rng):
-    a = rng.normal(size=(4, 4, 4))
-    w = rng.normal(size=(16, 2, 2))
+    a = rng.normal(size=(1, 4, 4, 4))
+    w = rng.normal(size=(1, 16, 2, 2))
     check_grad(lambda x: tsum(pixel_unshuffle(x, 2) * Tensor(w)), a)
-    b = rng.normal(size=(8, 2, 2))
-    w2 = rng.normal(size=(2, 4, 4))
+    b = rng.normal(size=(1, 8, 2, 2))
+    w2 = rng.normal(size=(1, 2, 4, 4))
     check_grad(lambda x: tsum(pixel_shuffle(x, 2) * Tensor(w2)), b)
 
 

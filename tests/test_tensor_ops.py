@@ -94,7 +94,7 @@ def conv2d_reference_grads(x, w, g, stride=1, padding=0, groups=1):
 
 class TestConv2d:
     def test_identity_1x1_kernel(self):
-        x = Tensor(np.ones((1, 3, 3), dtype=np.float32))
+        x = Tensor(np.ones((1, 1, 3, 3), dtype=np.float32))
         w = Tensor(np.array([[[[1.0]]]], dtype=np.float32))
         out = conv2d(x, w)
         np.testing.assert_array_equal(out.data, x.data)
@@ -143,21 +143,20 @@ class TestConv2d:
         """groups=2 is neither dense nor depth-wise, whether or not it divides C_in."""
         w = Tensor(np.zeros((4, 2, 3, 3), dtype=np.float32))
         for c_in in (5, 4):
-            x = Tensor(np.zeros((c_in, 4, 4), dtype=np.float32))
+            x = Tensor(np.zeros((1, c_in, 4, 4), dtype=np.float32))
             with pytest.raises(ShapeError):
                 conv2d(x, w, groups=2)
 
     def test_even_kernel_rejected(self):
-        x = Tensor(np.zeros((1, 4, 4), dtype=np.float32))
+        x = Tensor(np.zeros((1, 1, 4, 4), dtype=np.float32))
         w = Tensor(np.zeros((1, 1, 2, 2), dtype=np.float32))
         with pytest.raises(ShapeError):
             conv2d(x, w)
 
 
-def _case(kind, n, c_in, c_out, h, w, k, stride, padding, dtype="f32", batched=True,
-          bias=True, seed=0):
+def _case(kind, n, c_in, c_out, h, w, k, stride, padding, dtype="f32", bias=True, seed=0):
     return dict(kind=kind, n=n, c_in=c_in, c_out=c_out, h=h, w=w, k=k, stride=stride,
-                padding=padding, dtype=dtype, batched=batched, bias=bias, seed=seed)
+                padding=padding, dtype=dtype, bias=bias, seed=seed)
 
 
 @st.composite
@@ -187,16 +186,15 @@ def conv_cases(draw, kind):
         stride = draw(st.integers(1, 3))
         padding = draw(st.integers(0, k // 2 - (stride == 1)))
     lo = max(1, k - 2 * padding)
-    batched = draw(st.booleans())
-    return _case(kind, draw(st.integers(1, 2)) if batched else 1, c, c_out,
+    return _case(kind, draw(st.integers(1, 2)), c, c_out,
                  draw(st.integers(lo, 12)), draw(st.integers(lo, 12)), k, stride, padding,
-                 draw(st.sampled_from(["f32", "f64"])), batched, draw(st.booleans()),
+                 draw(st.sampled_from(["f32", "f64"])), draw(st.booleans()),
                  draw(st.integers(0, 2**32 - 1)))
 
 
 class TestConv2dProperty:
     """Every conv2d kernel against the six-loop reference: forward, input,
-    weight and bias gradients, both dtypes, with and without a batch axis."""
+    weight and bias gradients, both dtypes, batches of one and two."""
 
     # an error bound relative to the largest |x|*|w| (or |g|*|w|, |g|*|x|)
     # sum, so it holds for rounding in any summation order
@@ -211,19 +209,19 @@ class TestConv2dProperty:
 
     @pytest.mark.parametrize("case", [
         _case("dw_fft", 2, 3, 3, 8, 8, 7, 1, 3),
-        _case("dw_fft", 1, 2, 2, 8, 8, 7, 1, 3, dtype="f64", batched=False),
+        _case("dw_fft", 1, 2, 2, 8, 8, 7, 1, 3, dtype="f64"),
         _case("dw_fft", 2, 2, 2, 5, 11, 7, 1, 3),
         _case("dw_fft", 2, 3, 3, 12, 7, 7, 1, 3, dtype="f64"),
         _case("dw_taps", 2, 3, 3, 9, 8, 7, 2, 3),
         _case("dw_taps", 2, 2, 2, 8, 10, 7, 1, 0, dtype="f64"),
         _case("dense1x1", 2, 3, 4, 6, 9, 1, 1, 0),
-        _case("dense1x1", 1, 3, 4, 6, 9, 1, 1, 0, dtype="f64", batched=False),
+        _case("dense1x1", 1, 3, 4, 6, 9, 1, 1, 0, dtype="f64"),
         _case("dense3x3_matmul", 2, 1, 9, 9, 8, 3, 1, 1),
         _case("dense3x3_matmul", 1, 2, 18, 7, 9, 3, 2, 1, dtype="f64"),
         _case("dense3x3_taps", 2, 3, 1, 8, 9, 3, 1, 1),
-    ], ids=["fft-8x8", "fft-8x8-unbatched-f64", "fft-5x11", "fft-12x7-f64",
+    ], ids=["fft-8x8", "fft-8x8-batch1-f64", "fft-5x11", "fft-12x7-f64",
             "taps-strided-9x8", "taps-unpadded-8x10-f64", "1x1-batch2",
-            "1x1-unbatched-f64", "3x3-matmul-intro", "3x3-matmul-strided-f64",
+            "1x1-batch1-f64", "3x3-matmul-intro", "3x3-matmul-strided-f64",
             "3x3-taps-outro"])
     def test_named_shapes(self, case):
         self.check(case)
@@ -233,7 +231,7 @@ class TestConv2dProperty:
         per block must give the reference results too."""
         monkeypatch.setattr(tensor_module, "_FFT_BLOCK", 1)
         self.check(_case("dw_fft", 2, 3, 3, 9, 7, 7, 1, 3))
-        self.check(_case("dw_fft", 1, 3, 3, 6, 10, 5, 1, 2, dtype="f64", batched=False))
+        self.check(_case("dw_fft", 1, 3, 3, 6, 10, 5, 1, 2, dtype="f64"))
 
     def check(self, case):
         rng = np.random.default_rng(case["seed"])
@@ -245,14 +243,12 @@ class TestConv2dProperty:
         b = rng.normal(size=c_out).astype(dt) if case["bias"] else None
         kw = dict(stride=case["stride"], padding=case["padding"], groups=groups)
 
-        xt = Tensor(x if case["batched"] else x[0], requires_grad=True)
+        xt = Tensor(x, requires_grad=True)
         wt = Tensor(w, requires_grad=True)
         bt = Tensor(b, requires_grad=True) if b is not None else None
         out = conv2d(xt, wt, bt, **kw)
         g = rng.normal(size=out.shape).astype(dt)
         tsum(mul(out, Tensor(g))).backward()
-        if not case["batched"]:
-            g = g[None]
 
         want = conv2d_reference(x, w, b, **kw)
         gx, gw, gb = conv2d_reference_grads(x, w, g, **kw)
@@ -260,10 +256,9 @@ class TestConv2dProperty:
         scale = conv2d_reference(ax, aw, None if b is None else np.abs(b), **kw).max()
         sx, sw, _ = conv2d_reference_grads(ax, aw, ag, **kw)
         tol = self.TOL[case["dtype"]]
-        got_x = xt.grad if case["batched"] else xt.grad[None]
         assert out.data.dtype == xt.grad.dtype == wt.grad.dtype == dt
-        assert np.abs(out.data.reshape(want.shape) - want).max() <= tol * scale
-        assert np.abs(got_x - gx).max() <= tol * sx.max()
+        assert np.abs(out.data - want).max() <= tol * scale
+        assert np.abs(xt.grad - gx).max() <= tol * sx.max()
         assert np.abs(wt.grad - gw).max() <= tol * sw.max()
         if b is not None:
             assert np.abs(bt.grad - gb).max() <= tol * ag.sum(axis=(0, 2, 3)).max()
@@ -271,38 +266,51 @@ class TestConv2dProperty:
 
 class TestPixelShuffle:
     def test_unshuffle_single_block(self):
-        x = Tensor(np.array([[[1.0, 2.0], [3.0, 4.0]]]))
+        x = Tensor(np.array([[[[1.0, 2.0], [3.0, 4.0]]]]))
         out = pixel_unshuffle(x, 2)
-        assert out.shape == (4, 1, 1)
+        assert out.shape == (1, 4, 1, 1)
         np.testing.assert_array_equal(out.data.ravel(), [1.0, 2.0, 3.0, 4.0])
 
     def test_shuffle_single_block(self):
-        x = Tensor(np.array([10.0, 20.0, 30.0, 40.0]).reshape(4, 1, 1))
+        x = Tensor(np.array([10.0, 20.0, 30.0, 40.0]).reshape(1, 4, 1, 1))
         out = pixel_shuffle(x, 2)
-        np.testing.assert_array_equal(out.data, [[[10.0, 20.0], [30.0, 40.0]]])
+        np.testing.assert_array_equal(out.data, [[[[10.0, 20.0], [30.0, 40.0]]]])
 
     def test_shape_law(self):
-        x = Tensor(np.zeros((8, 4, 4), dtype=np.float32))
-        assert pixel_shuffle(x, 2).shape == (2, 8, 8)
+        x = Tensor(np.zeros((1, 8, 4, 4), dtype=np.float32))
+        assert pixel_shuffle(x, 2).shape == (1, 2, 8, 8)
 
     def test_roundtrip_identity_bit_exact(self):
         rng = np.random.default_rng(3)
-        for shape, r in [((3, 8, 8), 2), ((1, 12, 8), 4), ((2, 6, 6, 6), 3)]:
+        for shape, r in [((1, 3, 8, 8), 2), ((1, 1, 12, 8), 4), ((2, 6, 6, 6), 3)]:
             x = rng.normal(size=shape).astype(np.float32)
             back = pixel_shuffle(pixel_unshuffle(Tensor(x), r), r)
             np.testing.assert_array_equal(back.data, x)
 
     def test_multiset_preserved(self):
         rng = np.random.default_rng(4)
-        x = rng.normal(size=(3, 8, 8))
+        x = rng.normal(size=(1, 3, 8, 8))
         out = pixel_unshuffle(Tensor(x), 2)
         np.testing.assert_array_equal(np.sort(out.data.ravel()), np.sort(x.ravel()))
 
     def test_indivisible_rejected(self):
         with pytest.raises(ShapeError):
-            pixel_unshuffle(Tensor(np.zeros((1, 5, 4))), 2)
+            pixel_unshuffle(Tensor(np.zeros((1, 1, 5, 4))), 2)
         with pytest.raises(ShapeError):
-            pixel_shuffle(Tensor(np.zeros((6, 2, 2))), 2)
+            pixel_shuffle(Tensor(np.zeros((1, 6, 2, 2))), 2)
+
+
+@pytest.mark.parametrize("op", [
+    lambda x: conv2d(x, Tensor(np.zeros((2, 2, 1, 1)))),
+    lambda x: layernorm_channels(x, Tensor(np.ones(2))),
+    lambda x: pixel_shuffle(x, 1),
+    lambda x: pixel_unshuffle(x, 1),
+], ids=["conv2d", "layernorm_channels", "pixel_shuffle", "pixel_unshuffle"])
+def test_unbatched_input_rejected(op):
+    """The spatial ops take (N,C,H,W) only; a (C,H,W) map is a ShapeError."""
+    op(Tensor(np.zeros((1, 2, 4, 4))))
+    with pytest.raises(ShapeError):
+        op(Tensor(np.zeros((2, 4, 4))))
 
 
 class TestGelu:
@@ -380,27 +388,27 @@ class TestSoftmax:
 
 class TestLayernormChannels:
     def test_constant_input_zero(self):
-        x = Tensor(np.full((4, 3, 3), 7.0))
+        x = Tensor(np.full((1, 4, 3, 3), 7.0))
         out = layernorm_channels(x, Tensor(np.ones(4)))
         np.testing.assert_allclose(out.data, 0.0, atol=1e-9)
 
     def test_standardizes_each_pixel(self):
         rng = np.random.default_rng(5)
-        x = rng.normal(size=(16, 5, 5)) * 4 + 2
+        x = rng.normal(size=(1, 16, 5, 5)) * 4 + 2
         out = layernorm_channels(Tensor(x), Tensor(np.ones(16))).data
-        np.testing.assert_allclose(out.mean(axis=0), 0.0, atol=1e-10)
-        np.testing.assert_allclose(out.var(axis=0), 1.0, atol=1e-4)
+        np.testing.assert_allclose(out.mean(axis=1), 0.0, atol=1e-10)
+        np.testing.assert_allclose(out.var(axis=1), 1.0, atol=1e-4)
 
     def test_two_pass_reference(self):
         rng = np.random.default_rng(6)
-        x = rng.normal(size=(3, 2, 2))
+        x = rng.normal(size=(1, 3, 2, 2))
         gamma = rng.normal(size=3)
         eps = 1e-6
         ref = np.empty_like(x)
         for i in range(2):
             for j in range(2):
-                v = x[:, i, j]
-                ref[:, i, j] = (v - v.mean()) / math.sqrt(v.var() + eps) * gamma
+                v = x[0, :, i, j]
+                ref[0, :, i, j] = (v - v.mean()) / math.sqrt(v.var() + eps) * gamma
         out = layernorm_channels(Tensor(x), Tensor(gamma), eps)
         np.testing.assert_allclose(out.data, ref, rtol=1e-12)
 
@@ -480,12 +488,12 @@ class TestNoGrad:
         def leaf(*shape):
             return Tensor(rng.normal(size=shape), requires_grad=True)
 
-        x, y = leaf(4, 4, 4), leaf(4, 4, 4)
+        x, y = leaf(1, 4, 4, 4), leaf(1, 4, 4, 4)
         w, g = leaf(4, 4, 3, 3), leaf(4)
         return [
             lambda: add(x, y), lambda: sub(x, y), lambda: mul(x, y), lambda: neg(x),
             lambda: texp(x), lambda: tabs(x), lambda: tsum(x), lambda: tmean(x),
-            lambda: gelu(x), lambda: reshape(x, (16, 4)), lambda: transpose(x, (2, 0, 1)),
+            lambda: gelu(x), lambda: reshape(x, (16, 4)), lambda: transpose(x, (0, 3, 1, 2)),
             lambda: concat([x, y], axis=0), lambda: softmax(x, axis=-1),
             lambda: layernorm_channels(x, g), lambda: matmul(x, y),
             lambda: pixel_unshuffle(x, 2), lambda: pixel_shuffle(x, 2),
@@ -569,9 +577,9 @@ class TestReductionsAndInvariants:
 
     def test_all_finite_after_ops(self):
         rng = np.random.default_rng(14)
-        x = rng.normal(size=(4, 8, 8)).astype(np.float32) * 50
+        x = rng.normal(size=(1, 4, 8, 8)).astype(np.float32) * 50
         outs = [
-            softmax(Tensor(x), axis=0).data,
+            softmax(Tensor(x), axis=1).data,
             gelu(Tensor(x)).data,
             layernorm_channels(Tensor(x), Tensor(np.ones(4, dtype=np.float32))).data,
             pixel_unshuffle(Tensor(x), 2).data,
