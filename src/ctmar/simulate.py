@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import List, Optional, Tuple, Union
 
 import numpy as np
-from scipy.ndimage import gaussian_filter, map_coordinates
+from scipy.ndimage import gaussian_filter
 
 from . import io as tio
 
@@ -25,6 +25,7 @@ MU_WATER = 0.0192          # attenuation of water, 1/mm
 HU_MIN = -1000.0
 HU_MAX = 2800.0
 FIELD_MM = 160.0           # physical field of view represented by a slice
+_SAMPLE_BLOCK = 1 << 13    # samples per bilinear block; its temporaries stay in cache
 
 
 @dataclass
@@ -89,6 +90,50 @@ def _slab(origin: np.ndarray, direction: float, lo: float,
     return (lo - origin) / direction, (hi - origin) / direction
 
 
+def _bilinear(mu: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """``mu`` sampled bilinearly at (rows, cols), bit-equal to scipy's
+    ``map_coordinates(mu, [rows, cols], order=1, mode="constant", cval=0.0)``
+    for a finite square ``mu``.
+
+    It repeats that routine's arithmetic: for the fraction f of a
+    coordinate, the weights are w0 = 1 - f and w1 = 1 - w0; each tap adds
+    (v * w_row) * w_col to 0.0, in the order (0,0), (0,1), (1,0), (1,1);
+    a sample outside [0, size-1] on either axis is 0.0. At exactly
+    size-1, scipy reads the weight-0 second tap from the mirrored pixel,
+    while here a zero row and column past the far edges serve it; both
+    add a zero of either sign, which leaves a sum that started at 0.0
+    unchanged, as long as the pixel is finite.
+    """
+    size = mu.shape[0]
+    width = size + 1
+    # a second zero row past the far edge gives the all-zero 2x2 footprint
+    # that outside samples read
+    padded = np.zeros((size + 2, width))
+    padded[:size, :size] = mu
+    flat = padded.reshape(-1)
+    outside = size * width
+    last = size - 1.0
+    out = np.empty(rows.size)
+    for lo in range(0, rows.size, _SAMPLE_BLOCK):
+        y, x = rows[lo:lo + _SAMPLE_BLOCK], cols[lo:lo + _SAMPLE_BLOCK]
+        fy, fx = np.floor(y), np.floor(x)
+        wy0 = 1.0 - (y - fy)
+        wy1 = 1.0 - wy0
+        wx0 = 1.0 - (x - fx)
+        wx1 = 1.0 - wx0
+        inside = (y >= 0.0) & (y <= last) & (x >= 0.0) & (x <= last)
+        tap = np.where(inside, fy * width + fx, outside).astype(np.intp)
+        acc = flat[tap] * wy0
+        acc *= wx0
+        acc += 0.0      # scipy's sum starts at 0.0, so a -0.0 term reads +0.0
+        acc += (flat[tap + 1] * wy0) * wx1
+        tap += width
+        acc += (flat[tap] * wy1) * wx0
+        acc += (flat[tap + 1] * wy1) * wx1
+        out[lo:lo + _SAMPLE_BLOCK] = acc
+    return out
+
+
 def radon_forward(mu: np.ndarray, params: SimParams, spacing: float = 1.0) -> Sinogram:
     """Line integrals by bilinear ray marching at half-pixel steps.
 
@@ -100,10 +145,19 @@ def radon_forward(mu: np.ndarray, params: SimParams, spacing: float = 1.0) -> Si
     taken. They are scattered into a zeroed (sub-ray, step) buffer and
     reduced over the same array in the same order, which makes the
     sinogram byte-identical to sampling every step of every ray.
+
+    The samples are scipy's order-1 spline interpolation with
+    ``mode="constant"`` and ``cval=0.0``, as ``map_coordinates`` computes
+    it: ``_bilinear`` repeats its weights, products and order of
+    summation, so each sample is bit-equal to that routine's. The image
+    must be finite: an inf or NaN pixel would make the two differ, and a
+    line integral through it means nothing.
     """
     mu = np.asarray(mu, dtype=np.float64)
     if mu.ndim != 2 or mu.shape[0] != mu.shape[1]:
         raise ValueError(f"expected a square image, got {mu.shape}")
+    if not np.isfinite(mu).all():
+        raise ValueError("radon_forward needs a finite image; it holds inf or NaN")
     size = mu.shape[0]
     n_det = params.n_detectors or _default_detectors(size)
     center = (size - 1) / 2.0
@@ -152,7 +206,7 @@ def radon_forward(mu: np.ndarray, params: SimParams, spacing: float = 1.0) -> Si
         del march_k     # the working set stays below the full grid's
         k += np.repeat(row_base, count)     # flat (sub-ray, step) index
         buf.fill(0.0)
-        buf[k] = map_coordinates(mu, coords, order=1, mode="constant", cval=0.0)
+        buf[k] = _bilinear(mu, coords[0], coords[1])
         rays = buf.reshape(2, n_det, march.size).sum(axis=2) * step * spacing
         sino[i] = 0.5 * (rays[0] + rays[1])
     return Sinogram(values=sino, spacing=spacing)

@@ -286,11 +286,6 @@ def tabs(a: Tensor) -> Tensor:
     return out._record((a,), lambda g: (g * np.sign(a.data),))
 
 
-def tsum(a: Tensor) -> Tensor:
-    out = Tensor(np.asarray(a.data.sum(), dtype=a.data.dtype))
-    return out._record((a,), lambda g: (np.broadcast_to(g, a.shape).astype(a.data.dtype),))
-
-
 def tmean(a: Tensor) -> Tensor:
     n = a.data.size
     out = Tensor(np.asarray(a.data.mean(), dtype=a.data.dtype))

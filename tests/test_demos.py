@@ -17,8 +17,10 @@ def test_all_demos_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
 def test_demo_runs(demo, tmp_path):
-    # TMPDIR keeps the training demo's work directory inside tmp_path
+    # TMPDIR puts the training demo's work directory inside tmp_path,
+    # where it must be gone once the demo exits
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(tmp_path))
     proc = subprocess.run([sys.executable, str(demo)], env=env, cwd=tmp_path,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
+    assert not list(tmp_path.glob("ctmar_demo_*"))

@@ -15,6 +15,8 @@ from ctmar.simulate import (
     PhantomImage,
     SimParams,
     Sinogram,
+    _SAMPLE_BLOCK,
+    _bilinear,
     _default_detectors,
     fbp_reconstruct,
     hu_to_mu,
@@ -110,6 +112,30 @@ def projector_cases(draw):
     return mu, SimParams(n_angles=draw(st.integers(8, 25)), n_detectors=n_det)
 
 
+class TestBilinear:
+    @pytest.mark.parametrize("size", [1, 2, 5, 16])
+    def test_bit_equal_to_map_coordinates(self, size):
+        """Every row coordinate meets every column coordinate: exactly 0
+        and size-1, just inside and outside both, (-1, 0), (size-1, size),
+        integers, half-integers and -0.0; then more random samples than
+        one block holds. Pixels are of both signs, 0.0 and -0.0."""
+        rng = np.random.default_rng(size)
+        mu = rng.normal(size=(size, size))
+        mu[rng.random((size, size)) < 0.3] = -0.0
+        mu[rng.random((size, size)) < 0.2] = 0.0
+        last = size - 1.0
+        edges = np.array([0.0, -0.0, np.nextafter(0.0, 1.0), np.nextafter(0.0, -1.0),
+                          -0.5, -0.999, -1.0, last, np.nextafter(last, 0.0),
+                          np.nextafter(last, size), last + 0.5, last + 0.999, float(size),
+                          *np.arange(0.0, size, 0.5), *rng.uniform(-1.5, size + 0.5, 7)])
+        rows, cols = (a.ravel() for a in np.meshgrid(edges, edges))
+        extra = rng.uniform(-1.5, size + 0.5, (2, _SAMPLE_BLOCK + 123))
+        rows, cols = np.concatenate([rows, extra[0]]), np.concatenate([cols, extra[1]])
+        want = map_coordinates(mu, [rows, cols], order=1, mode="constant", cval=0.0)
+        got = _bilinear(mu, rows, cols)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 class TestRadonForward:
     # a floating-point warning, such as a division by a zero direction
     # component, fails the case too
@@ -179,6 +205,13 @@ class TestRadonForward:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             radon_forward(np.zeros((8, 16)), SimParams())
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_rejected(self, bad):
+        mu = np.zeros((8, 8))
+        mu[3, 4] = bad
+        with pytest.raises(ValueError, match="finite"):
+            radon_forward(mu, SimParams())
 
     def test_nonnegative_for_nonnegative_input(self):
         rng = np.random.default_rng(1)

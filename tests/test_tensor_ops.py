@@ -31,7 +31,6 @@ from ctmar.tensor import (
     texp,
     tmean,
     transpose,
-    tsum,
 )
 
 # frozen from a 40-digit erf evaluation (mpmath)
@@ -248,7 +247,8 @@ class TestConv2dProperty:
         bt = Tensor(b, requires_grad=True) if b is not None else None
         out = conv2d(xt, wt, bt, **kw)
         g = rng.normal(size=out.shape).astype(dt)
-        tsum(mul(out, Tensor(g))).backward()
+        tmean(mul(out, Tensor(g))).backward()
+        g = g / out.size    # the upstream gradient that tmean hands back
 
         want = conv2d_reference(x, w, b, **kw)
         gx, gw, gb = conv2d_reference_grads(x, w, g, **kw)
@@ -347,8 +347,9 @@ class TestGelu:
         for dt in (np.float32, np.float64):
             xt = Tensor(x.astype(dt), requires_grad=True)
             out = gelu(xt)
-            tsum(mul(transpose(out), Tensor(g.astype(dt)))).backward()
-            results.append((out.data.astype(np.float64), xt.grad.astype(np.float64)))
+            tmean(mul(transpose(out), Tensor(g.astype(dt)))).backward()
+            # undo tmean's 1/n, so the bound applies to g * GELU'(x)
+            results.append((out.data.astype(np.float64), xt.grad.astype(np.float64) * x.size))
         bound = 1e-6 * np.maximum(1.0, np.abs(x.astype(np.float64)))
         for got, want in zip(*results):
             assert np.all(np.abs(got - want) <= bound)
@@ -441,28 +442,28 @@ class TestMatmul:
 
 class TestBackwardBasics:
     def test_linear_map(self):
-        w = Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
-        x = Tensor(np.array([4.0, 5.0, 6.0]))
-        loss = tsum(w * x)
+        w = Tensor(np.array([1.0, 2.0, 3.0, 4.0]), requires_grad=True)
+        x = Tensor(np.array([4.0, 5.0, 6.0, 7.0]))
+        loss = tmean(w * x)
         loss.backward()
-        np.testing.assert_array_equal(w.grad, x.data)
+        np.testing.assert_array_equal(w.grad, x.data / 4)
 
     def test_quadratic(self):
         w = Tensor(np.array([1.0, 2.0]), requires_grad=True)
-        loss = tsum(w * w)
+        loss = tmean(w * w)
         loss.backward()
-        np.testing.assert_allclose(w.grad, [2.0, 4.0])
+        np.testing.assert_allclose(w.grad, [1.0, 2.0])
 
     def test_fanout_accumulates(self):
         w = Tensor(np.array([3.0]), requires_grad=True)
         y = w * 2.0
-        loss = tsum(y + y * w)  # dL/dw = 2 + 4w = 14
+        loss = tmean(y + y * w)  # dL/dw = 2 + 4w = 14
         loss.backward()
         np.testing.assert_allclose(w.grad, [2.0 + 4.0 * 3.0])
 
     def test_double_backward_rejected(self):
         w = Tensor(np.array([1.0]), requires_grad=True)
-        loss = tsum(w * w)
+        loss = tmean(w * w)
         loss.backward()
         with pytest.raises(GraphError):
             loss.backward()
@@ -492,7 +493,7 @@ class TestNoGrad:
         w, g = leaf(4, 4, 3, 3), leaf(4)
         return [
             lambda: add(x, y), lambda: sub(x, y), lambda: mul(x, y), lambda: neg(x),
-            lambda: texp(x), lambda: tabs(x), lambda: tsum(x), lambda: tmean(x),
+            lambda: texp(x), lambda: tabs(x), lambda: tmean(x),
             lambda: gelu(x), lambda: reshape(x, (16, 4)), lambda: transpose(x, (0, 3, 1, 2)),
             lambda: concat([x, y], axis=0), lambda: softmax(x, axis=-1),
             lambda: layernorm_channels(x, g), lambda: matmul(x, y),
@@ -515,7 +516,7 @@ class TestNoGrad:
     def test_backward_through_scope_rejected(self):
         w = Tensor(np.array([1.0, 2.0]), requires_grad=True)
         with no_grad():
-            loss = tsum(w * w)
+            loss = tmean(w * w)
         assert w.requires_grad
         with pytest.raises(GraphError):
             loss.backward()
@@ -529,27 +530,27 @@ class TestNoGrad:
         assert (w * w)._backward_fn is not None
 
     def test_recording_restored_after_nested_scope(self):
-        w = Tensor(np.ones(3), requires_grad=True)
+        w = Tensor(np.ones(2), requires_grad=True)
         with no_grad():
             with no_grad():
                 assert (w * w)._backward_fn is None
             assert (w * w)._backward_fn is None
-        loss = tsum(w * w)
+        loss = tmean(w * w)
         loss.backward()
-        np.testing.assert_array_equal(w.grad, [2.0, 2.0, 2.0])
+        np.testing.assert_array_equal(w.grad, [1.0, 1.0])
 
 
 class TestFiniteDiff:
     def test_sum_of_squares(self):
-        g = finite_diff_grad(lambda t: tsum(t * t), Tensor(np.array([3.0])), h=1e-5)
+        g = finite_diff_grad(lambda t: tmean(t * t), Tensor(np.array([3.0])), h=1e-5)
         assert g[0] == pytest.approx(6.0, rel=1e-7)
 
     def test_linear_exact(self):
         c = np.array([2.0, -1.0, 0.5])
         for h in (1e-2, 1e-6):
-            g = finite_diff_grad(lambda t: tsum(t * Tensor(c)),
+            g = finite_diff_grad(lambda t: tmean(t * Tensor(c)),
                                  Tensor(np.array([1.0, 1.0, 1.0])), h=h)
-            np.testing.assert_allclose(g, c, rtol=1e-9)
+            np.testing.assert_allclose(g, c / 3, rtol=1e-9)
 
     def test_matches_backward_on_toy_net(self):
         rng = np.random.default_rng(13)
@@ -559,9 +560,9 @@ class TestFiniteDiff:
 
         def f(w1_val):
             h1 = gelu(matmul(w1_val, x))
-            return tsum(matmul(Tensor(w2.data), h1))
+            return tmean(matmul(Tensor(w2.data), h1))
 
-        loss = tsum(matmul(Tensor(w2.data), gelu(matmul(w1, x))))
+        loss = tmean(matmul(Tensor(w2.data), gelu(matmul(w1, x))))
         loss.backward()
         fd = finite_diff_grad(f, Tensor(w1.data), h=1e-4)
         np.testing.assert_allclose(w1.grad, fd, rtol=1e-4, atol=1e-9)

@@ -9,7 +9,7 @@ import pytest
 
 from ctmar.model import ModelConfig, build_model, preset, save_checkpoint
 from ctmar.simulate import make_dataset
-from ctmar.tensor import Tensor, finite_diff_grad, tsum
+from ctmar.tensor import Tensor, finite_diff_grad, tmean
 from ctmar.train import (
     Adam,
     TrainConfig,
@@ -58,7 +58,7 @@ class TestAdam:
             w_ref -= lr * (m_ref / (1 - beta1 ** t)) / (
                 math.sqrt(v_ref / (1 - beta2 ** t)) + eps)
 
-            loss = tsum(w * w)
+            loss = tmean(w * w)
             opt.zero_grad()
             loss.backward()
             opt.step(lr)
