@@ -71,9 +71,9 @@ def cmd_train(args) -> int:
     from .train import TrainConfig, train
 
     config = _resolve_config(args)
-    model = build_model(config, seed=args.seed)
     cfg = TrainConfig(epochs=args.epochs, batch_size=args.batch, seed=args.seed,
                       max_steps=args.max_steps)
+    model = build_model(config, seed=args.seed)
     model, curve = train(model, args.data, cfg, out_dir=args.out, log=print)
     if curve:
         print(f"finished {len(curve)} steps; final loss {curve[-1].loss:.6f}")

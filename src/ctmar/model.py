@@ -77,20 +77,26 @@ class ModelConfig:
     fixed_width: bool = False
 
     def __post_init__(self):
-        if self.base_channels < 1:
-            raise ConfigError("base_channels must be positive")
+        if len(self.num_blocks) != 4 or len(self.num_heads) != 4:
+            raise ConfigError("num_blocks and num_heads must have four entries")
+        counts = (self.base_channels, self.ffn_kernel, self.spatial_ratio,
+                  self.channel_ratio, *self.num_blocks, *self.num_heads)
+        if any(type(n) is not int for n in counts) or type(self.fixed_width) is not bool:
+            raise ConfigError("widths, kernel, ratios and counts must be integers "
+                              "and fixed_width a boolean")
+        if min(self.base_channels, *self.num_blocks, *self.num_heads) < 1:
+            raise ConfigError("base_channels and the block and head counts must be positive")
         if self.ffn_kernel < 1 or self.ffn_kernel % 2 == 0:
             raise ConfigError("ffn_kernel must be a positive odd integer")
         if self.spatial_ratio not in _ALLOWED_RATIOS:
             raise ConfigError(f"spatial_ratio must be one of {_ALLOWED_RATIOS}")
         if self.channel_ratio not in _ALLOWED_RATIOS:
             raise ConfigError(f"channel_ratio must be one of {_ALLOWED_RATIOS}")
-        if self.expansion <= 0:
-            raise ConfigError("expansion must be positive")
-        if len(self.num_blocks) != 4 or len(self.num_heads) != 4:
-            raise ConfigError("num_blocks and num_heads must have four entries")
-        if any(n < 1 for n in self.num_blocks) or any(h < 1 for h in self.num_heads):
-            raise ConfigError("block and head counts must be positive")
+        # base_channels is the narrowest level, so this bounds every FFN width
+        if type(self.expansion) not in (int, float) or not math.isfinite(self.expansion) \
+                or round(self.expansion * self.base_channels) < 1:
+            raise ConfigError("expansion must be a finite number that leaves the "
+                              "feed-forward at least one channel wide")
         for ch, heads in zip(self.level_channels, self.num_heads):
             if ch % heads:
                 raise ConfigError(f"{ch} channels not divisible by {heads} heads")
@@ -125,27 +131,10 @@ class ModelConfig:
             raise ConfigError(f"bad config value ({exc})") from exc
 
 
-@dataclass(frozen=True)
-class LevelPlan:
-    """Static per-level layout: width, depth, heads and resolution divisor."""
-
-    channels: int
-    blocks: int
-    heads: int
-    divisor: int
-
-
-def level_plans(config: ModelConfig) -> Tuple[LevelPlan, ...]:
-    chans = config.level_channels
-    return tuple(
-        LevelPlan(chans[k], config.num_blocks[k], config.num_heads[k], 2 ** min(k, 3))
-        for k in range(4)
-    )
-
-
 # The U-Net's top-level stages in execution order, as (key, kind, level). The key
-# names the model attribute and the cost-breakdown entry; the level indexes
-# ``level_plans``. ``down`` pushes a skip that ``reduce`` pops and concatenates.
+# names the model attribute and the cost-breakdown entry; the level indexes the
+# config's ``level_channels``, ``num_blocks`` and ``num_heads``. ``down`` pushes a
+# skip that ``reduce`` pops and concatenates; it halves the grid and ``up`` doubles it.
 STAGES = (("intro", "intro", 0),
           ("enc1", "blocks", 0), ("down1", "down", 1), ("enc2", "blocks", 1),
           ("down2", "down", 2), ("enc3", "blocks", 2), ("down3", "down", 3),
@@ -175,7 +164,10 @@ def preset(name: str) -> ModelConfig:
 
 
 class Module:
-    """Minimal parameter container; children are discovered in insertion order."""
+    """Minimal parameter container; children are discovered in insertion order.
+
+    A module's ``macs(h, w)`` is its forward cost on an h x w input (see ``complexity``).
+    """
 
     def named_params(self, prefix: str = "") -> Iterator[Tuple[str, Tensor]]:
         for name, value in self.__dict__.items():
@@ -212,6 +204,9 @@ class Conv2d(Module):
         return conv2d(x, self.weight, self.bias, stride=self.stride,
                       padding=self.padding, groups=self.groups)
 
+    def macs(self, h: int, w: int) -> int:
+        return self.weight.size * ((h - 1) // self.stride + 1) * ((w - 1) // self.stride + 1)
+
 
 class ChannelLayerNorm(Module):
     """Bias-free per-pixel normalization across channels."""
@@ -222,6 +217,9 @@ class ChannelLayerNorm(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return layernorm_channels(x, self.gamma, self.eps)
+
+    def macs(self, h: int, w: int) -> int:
+        return self.gamma.size * h * w
 
 
 class ChannelAttention(Module):
@@ -279,6 +277,15 @@ class ChannelAttention(Module):
         mixed = reshape(mixed, (n, c, height, width))
         return self.out_proj.forward(mixed)
 
+    def macs(self, h: int, w: int) -> int:
+        # Q/K project at the strided grid; the score and mixing matmuls contract
+        # over it and over the full grid; softmax is one unit per score
+        hp, wp = (h - 1) // self.q_dw.stride + 1, (w - 1) // self.q_dw.stride + 1
+        pairs = self.channels * self.reduced // self.heads
+        return (self.q_dw.macs(h, w) + self.q_proj.macs(hp, wp) + self.k_dw.macs(h, w)
+                + self.k_proj.macs(hp, wp) + self.v_proj.macs(h, w) + self.v_dw.macs(h, w)
+                + self.out_proj.macs(h, w) + pairs * (hp * wp + h * w + 1))
+
 
 class ConvFeedForward(Module):
     """Expand channels, GELU, wide depth-wise conv, GELU, shrink."""
@@ -294,6 +301,10 @@ class ConvFeedForward(Module):
         y = gelu(self.conv_in.forward(x))
         y = gelu(self.conv_dw.forward(y))
         return self.conv_out.forward(y)
+
+    def macs(self, h: int, w: int) -> int:
+        gelus = 2 * self.conv_dw.weight.shape[0] * h * w      # both at the hidden width
+        return gelus + sum(c.macs(h, w) for c in (self.conv_in, self.conv_dw, self.conv_out))
 
 
 class TransformerBlock(Module):
@@ -312,6 +323,9 @@ class TransformerBlock(Module):
         x = x + self.attn.forward(self.norm1.forward(x))
         return x + self.ffn.forward(self.norm2.forward(x))
 
+    def macs(self, h: int, w: int) -> int:
+        return sum(part.macs(h, w) for part in (self.norm1, self.attn, self.norm2, self.ffn))
+
 
 class Downsample(Module):
     """Pixel-unshuffle by 2, then a 1x1 conv from 4*C_in to C_out."""
@@ -321,6 +335,9 @@ class Downsample(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return self.proj.forward(pixel_unshuffle(x, 2))
+
+    def macs(self, h: int, w: int) -> int:
+        return self.proj.macs(h // 2, w // 2)
 
 
 class Upsample(Module):
@@ -332,24 +349,27 @@ class Upsample(Module):
     def forward(self, x: Tensor) -> Tensor:
         return pixel_shuffle(self.proj.forward(x), 2)
 
+    def macs(self, h: int, w: int) -> int:
+        return self.proj.macs(h, w)
+
 
 class MARNet(Module):
     """The end-to-end restorer: encoder levels, bottleneck, decoder, residual add."""
 
     def __init__(self, config: ModelConfig, seed: int = 0, dtype: str = "f32"):
         rng = np.random.default_rng(seed)
-        plans = level_plans(config)
+        chans = config.level_channels
         self.config = config
         self.dtype = dtype
         for key, kind, level in STAGES:
-            c = plans[level].channels
+            c = chans[level]
             if kind == "blocks":
-                part = [TransformerBlock(rng, c, plans[level].heads, config, dtype)
-                        for _ in range(plans[level].blocks)]
+                part = [TransformerBlock(rng, c, config.num_heads[level], config, dtype)
+                        for _ in range(config.num_blocks[level])]
             elif kind == "down":
-                part = Downsample(rng, plans[level - 1].channels, c, dtype=dtype)
+                part = Downsample(rng, chans[level - 1], c, dtype=dtype)
             elif kind == "up":
-                part = Upsample(rng, plans[level + 1].channels, c, dtype=dtype)
+                part = Upsample(rng, chans[level + 1], c, dtype=dtype)
             elif kind == "reduce":
                 part = Conv2d(rng, 2 * c, c, 1, dtype=dtype)
             elif kind == "intro":

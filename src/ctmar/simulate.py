@@ -398,22 +398,20 @@ def _split_for(index: int, n_pairs: int) -> str:
 
 
 def make_dataset(n_pairs: int, size: int, seed: int,
-                 out_dir: Union[str, Path],
-                 params: Optional[SimParams] = None) -> DatasetManifest:
+                 out_dir: Union[str, Path]) -> DatasetManifest:
     """Write ``n_pairs`` clean/MA MTSR1 pairs plus a manifest; fully seeded."""
     if n_pairs < 1 or size < 8 or size % 8:
         raise ValueError(f"need n_pairs >= 1 and a size that is a positive multiple of 8, "
                          f"got n_pairs={n_pairs}, size={size}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    params = params or SimParams()
     manifest = DatasetManifest(size=size, seed=seed, spacing=FIELD_MM / size,
                                n_pairs=n_pairs)
     for i in range(n_pairs):
         rng = np.random.default_rng(seed ^ i)
         clean = jaw_phantom(size, rng)
         mask = random_metal_mask(clean, rng)
-        ma, clean = simulate_ma_pair(clean, mask, params)
+        ma, clean = simulate_ma_pair(clean, mask, SimParams())
         clean_name, ma_name = f"{i:04d}_clean.mtsr", f"{i:04d}_ma.mtsr"
         tio.save_tensor(out / clean_name, clean.pixels.astype(np.float32))
         tio.save_tensor(out / ma_name, ma.pixels.astype(np.float32))

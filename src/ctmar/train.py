@@ -50,6 +50,9 @@ class TrainConfig:
             raise ValueError("betas must lie in [0, 1)")
         if self.restart_period < 1 or self.batch_size < 1 or self.epochs < 0:
             raise ValueError("restart_period, batch_size >= 1 and epochs >= 0 required")
+        steps = self.max_steps
+        if steps is not None and (type(steps) is not int or steps < 1):
+            raise ValueError(f"max_steps must be None or a positive integer, got {steps!r}")
 
 
 def cosine_lr(fraction: float, lr_max: float = 1e-3, lr_min: float = 1e-7) -> float:

@@ -169,6 +169,32 @@ class TestEvalAndTrain:
         assert err.startswith("error:") and field in err
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("edit,needle", [
+        ({"base_channels": 8.0}, "integers"), ({"num_blocks": [1, 1, 1.5, 1]}, "integers"),
+        ({"expansion": 0.01}, "expansion"), ({"fixed_width": 0}, "boolean"),
+        ({"spatial_ratio": 2.0}, "integers"),
+    ], ids=["float-width", "float-count", "zero-hidden", "int-flag", "float-ratio"])
+    def test_config_field_types_checked(self, tmp_path, capsys, edit, needle):
+        cfg = tmp_path / "cfg.json"
+        fields = dict(base_channels=8, expansion=2.0, ffn_kernel=3, spatial_ratio=2,
+                      channel_ratio=2, num_blocks=[1, 1, 1, 1], num_heads=[1, 1, 1, 1],
+                      fixed_width=False)
+        cfg.write_text(json.dumps({**fields, **edit}))
+        code, _, err = run(capsys, "train", "--data", str(tmp_path / "ds"),
+                           "--config", str(cfg), "--out", str(tmp_path / "run"))
+        assert code == 1
+        assert err.startswith("error:") and needle in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("steps", ["0", "-3"])
+    def test_non_positive_max_steps_rejected(self, tmp_path, capsys, steps):
+        code, out, err = run(capsys, "train", "--data", str(tmp_path / "ds"),
+                             "--max-steps", steps, "--out", str(tmp_path / "run"))
+        assert code == 1
+        assert err.startswith("error:") and "must be None or a positive integer" in err
+        assert len(err.strip().splitlines()) == 1
+        assert "finished" not in out and not (tmp_path / "run").exists()
+
     def test_eval_non_finite_slice_rejected(self, tmp_path, capsys):
         ds = tmp_path / "ds"
         run(capsys, "synth", "--pairs", "3", "--size", "32", "--seed", "2",
@@ -269,6 +295,8 @@ class TestThreadCap:
         from ctmar.cli import _apply_thread_cap
         monkeypatch.setenv("MARFORMER_THREADS", "3")
         monkeypatch.setenv("OMP_NUM_THREADS", "8")
+        for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
         _apply_thread_cap()
         import os
         assert os.environ["OMP_NUM_THREADS"] == "8"

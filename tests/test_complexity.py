@@ -16,6 +16,9 @@ from ctmar.tensor import Tensor
 
 
 SMALL = ModelConfig(base_channels=16, num_blocks=(1, 1, 1, 1), num_heads=(1, 1, 1, 1))
+# configs whose executed ops are counted: two small nets and every Table II/III row
+EXECUTED = ([("SMALL", SMALL), ("T", preset("T"))] + reduction_variants()
+            + kernel_variants() + expansion_variants())
 
 
 class TestClosedForms:
@@ -121,7 +124,8 @@ class TestCrossChecks:
     def test_estimate_matches_built_model(self, cfg):
         assert estimate_flops(cfg, 64, 64).params == count_params(build_model(cfg))
 
-    @pytest.mark.parametrize("cfg", [SMALL, preset("T")], ids=["SMALL", "T"])
+    @pytest.mark.parametrize("cfg", [cfg for _, cfg in EXECUTED],
+                             ids=[name for name, _ in EXECUTED])
     def test_executed_macs_match_breakdown(self, cfg, monkeypatch):
         """MACs counted from the ops a real 32x32 forward runs, per breakdown key.
 

@@ -20,7 +20,6 @@ from ctmar.model import (
     TransformerBlock,
     Upsample,
     build_model,
-    level_plans,
     load_checkpoint,
     preset,
     save_checkpoint,
@@ -56,8 +55,6 @@ class TestConfig:
     def test_level_channels(self):
         assert preset("L").level_channels == (48, 96, 192, 384)
         assert preset("T").level_channels == (48, 48, 48, 48)
-        plans = level_plans(preset("L"))
-        assert [p.divisor for p in plans] == [1, 2, 4, 8]
 
     def test_unknown_preset(self):
         with pytest.raises(ConfigError):
@@ -72,6 +69,24 @@ class TestConfig:
             ModelConfig(base_channels=6, num_heads=(4, 4, 4, 4))  # 6 % 4 != 0
         with pytest.raises(ConfigError):
             ModelConfig(base_channels=4, channel_ratio=4, num_heads=(2, 2, 2, 2))
+
+    @pytest.mark.parametrize("field,value", [
+        ("base_channels", 8.0), ("base_channels", True), ("ffn_kernel", 3.0),
+        ("spatial_ratio", 2.0), ("channel_ratio", 2.0), ("channel_ratio", "2"),
+        ("num_blocks", [1, 1, 1.5, 1]), ("num_heads", [1, 1, 1, True]),
+        ("fixed_width", 0), ("fixed_width", "false"), ("expansion", 0.01),
+        ("expansion", 0.0625), ("expansion", 0.0), ("expansion", -2.0),
+        ("expansion", float("inf")), ("expansion", float("nan")), ("expansion", "2"),
+        ("expansion", True),
+    ])
+    def test_from_dict_rejects_bad_field_types(self, field, value):
+        fields = dict(TINY.to_dict(), **{field: value})
+        with pytest.raises(ConfigError):
+            ModelConfig.from_dict(fields)
+
+    def test_one_channel_feed_forward_accepted(self):
+        cfg = ModelConfig.from_dict(dict(TINY.to_dict(), expansion=0.1))   # round(0.8) = 1
+        assert build_model(cfg).enc1[0].ffn.conv_dw.weight.shape[0] == 1
 
 
 class TestLevelTransitions:
