@@ -34,14 +34,14 @@ def count_params(model: MARNet) -> int:
 def estimate_flops(config: ModelConfig, height: int, width: int) -> CostReport:
     """Analytic cost of one forward pass on a height x width slice.
 
-    Builds ``MARNet(config)``, so each call pays for one model build
-    with random weights. Then it sums, per ``STAGES`` key, the sizes of
+    Builds ``MARNet(config, None)``, so each call pays for one model
+    build with zeroed weights. Then it sums, per ``STAGES`` key, the sizes of
     the stage's parameters and its modules' ``macs`` at the grid the
     stage runs on: ``down`` halves the grid and ``up`` doubles it.
     """
     if min(height, width) < 8 or height % 8 or width % 8:
         raise ValueError(f"spatial extents {height}x{width} must be positive multiples of 8")
-    model = MARNet(config)
+    model = MARNet(config, None)
     breakdown: Dict[str, Tuple[int, float]] = {}
     h, w = height, width
     for key, kind, _ in STAGES:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 PSNR_CAP_DB = 100.0
 SSIM_WINDOW = 11
@@ -32,19 +33,18 @@ def psnr(a: np.ndarray, b: np.ndarray, data_range: float) -> float:
     return 10.0 * math.log10(data_range ** 2 / mse)
 
 
-def _gaussian_window(size: int = SSIM_WINDOW, sigma: float = SSIM_SIGMA) -> np.ndarray:
+def _gaussian_kernel(size: int = SSIM_WINDOW, sigma: float = SSIM_SIGMA) -> np.ndarray:
+    """The 1-D factor of the window: the window is the outer product of it with itself."""
     half = (size - 1) / 2.0
-    coords = np.arange(size) - half
-    g = np.exp(-(coords ** 2) / (2.0 * sigma ** 2))
-    win = np.outer(g, g)
-    return win / win.sum()
+    g = np.exp(-((np.arange(size) - half) ** 2) / (2.0 * sigma ** 2))
+    return g / g.sum()
 
 
-def _local_stats(img: np.ndarray, window: np.ndarray) -> np.ndarray:
-    """Weighted window sums at every valid position (no padding)."""
-    k = window.shape[0]
-    view = np.lib.stride_tricks.sliding_window_view(img, (k, k))
-    return np.tensordot(view, window, axes=([2, 3], [0, 1]))
+def _local_stats(img: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Window-weighted sums at every valid position (no padding), as one
+    pass of the separable window's factor ``g`` along each axis."""
+    rows = sliding_window_view(img, g.size, axis=1) @ g
+    return sliding_window_view(rows, g.size, axis=0) @ g
 
 
 def ssim(a: np.ndarray, b: np.ndarray, data_range: float) -> float:
@@ -59,12 +59,12 @@ def ssim(a: np.ndarray, b: np.ndarray, data_range: float) -> float:
     if data_range <= 0:
         raise ValueError("data_range must be positive")
 
-    window = _gaussian_window()
-    mu_a = _local_stats(a, window)
-    mu_b = _local_stats(b, window)
-    var_a = _local_stats(a * a, window) - mu_a ** 2
-    var_b = _local_stats(b * b, window) - mu_b ** 2
-    cov = _local_stats(a * b, window) - mu_a * mu_b
+    g = _gaussian_kernel()
+    mu_a = _local_stats(a, g)
+    mu_b = _local_stats(b, g)
+    var_a = _local_stats(a * a, g) - mu_a ** 2
+    var_b = _local_stats(b * b, g) - mu_b ** 2
+    cov = _local_stats(a * b, g) - mu_a * mu_b
 
     c1 = (SSIM_K1 * data_range) ** 2
     c2 = (SSIM_K2 * data_range) ** 2

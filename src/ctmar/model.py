@@ -77,6 +77,9 @@ class ModelConfig:
     fixed_width: bool = False
 
     def __post_init__(self):
+        # frozen: the per-level counts become tuples, so equality and hash see values
+        object.__setattr__(self, "num_blocks", tuple(self.num_blocks))
+        object.__setattr__(self, "num_heads", tuple(self.num_heads))
         if len(self.num_blocks) != 4 or len(self.num_heads) != 4:
             raise ConfigError("num_blocks and num_heads must have four entries")
         counts = (self.base_channels, self.ffn_kernel, self.spatial_ratio,
@@ -125,8 +128,7 @@ class ModelConfig:
             raise ConfigError(f"config fields missing {sorted(names - given)}, "
                               f"unknown {sorted(given - names)}")
         try:
-            return ModelConfig(**dict(d, num_blocks=tuple(d["num_blocks"]),
-                                      num_heads=tuple(d["num_heads"])))
+            return ModelConfig(**d)
         except TypeError as exc:
             raise ConfigError(f"bad config value ({exc})") from exc
 
@@ -187,13 +189,13 @@ class Module:
 
 
 class Conv2d(Module):
-    def __init__(self, rng: np.random.Generator, c_in: int, c_out: int, k: int,
+    def __init__(self, rng: Optional[np.random.Generator], c_in: int, c_out: int, k: int,
                  stride: int = 1, groups: int = 1, bias: bool = False,
                  zero_init: bool = False, dtype: str = "f32"):
         fan_in = (c_in // groups) * k * k
         bound = 1.0 / math.sqrt(fan_in)
         shape = (c_out, c_in // groups, k, k)
-        w = np.zeros(shape) if zero_init else rng.uniform(-bound, bound, size=shape)
+        w = np.zeros(shape) if zero_init or rng is None else rng.uniform(-bound, bound, size=shape)
         self.weight = Tensor(w, dtype=dtype, requires_grad=True)
         self.bias = Tensor(np.zeros(c_out), dtype=dtype, requires_grad=True) if bias else None
         self.stride = stride
@@ -298,9 +300,8 @@ class ConvFeedForward(Module):
         self.conv_out = Conv2d(rng, hidden, channels, 1, dtype=dtype)
 
     def forward(self, x: Tensor) -> Tensor:
-        y = gelu(self.conv_in.forward(x))
-        y = gelu(self.conv_dw.forward(y))
-        return self.conv_out.forward(y)
+        # nested, so no name holds a hidden activation its consumer is done with
+        return self.conv_out.forward(gelu(self.conv_dw.forward(gelu(self.conv_in.forward(x)))))
 
     def macs(self, h: int, w: int) -> int:
         gelus = 2 * self.conv_dw.weight.shape[0] * h * w      # both at the hidden width
@@ -354,10 +355,15 @@ class Upsample(Module):
 
 
 class MARNet(Module):
-    """The end-to-end restorer: encoder levels, bottleneck, decoder, residual add."""
+    """The end-to-end restorer: encoder levels, bottleneck, decoder, residual add.
 
-    def __init__(self, config: ModelConfig, seed: int = 0, dtype: str = "f32"):
-        rng = np.random.default_rng(seed)
+    ``rng`` draws the initial weights in ``STAGES`` order. With None no
+    number is drawn and every conv weight starts at zero, for a checkpoint
+    to overwrite or the cost accountant to measure.
+    """
+
+    def __init__(self, config: ModelConfig, rng: Optional[np.random.Generator],
+                 dtype: str = "f32"):
         chans = config.level_channels
         self.config = config
         self.dtype = dtype
@@ -405,7 +411,7 @@ class MARNet(Module):
 
 
 def build_model(config: ModelConfig, seed: int = 0, dtype: str = "f32") -> MARNet:
-    return MARNet(config, seed=seed, dtype=dtype)
+    return MARNet(config, np.random.default_rng(seed), dtype=dtype)
 
 
 # -- checkpoints ------------------------------------------------------------------
@@ -502,7 +508,7 @@ def load_checkpoint(path: Union[str, Path],
         if expect_config is not None and config != expect_config:
             raise CheckpointError(f"{path}: checkpoint config does not match the "
                                   f"requested config")
-        model = build_model(config, seed=0, dtype=header["dtype"])
+        model = MARNet(config, None, dtype=header["dtype"])
         params = dict(model.named_params())
         names_found = set()
         payload_start = 9 + header_len

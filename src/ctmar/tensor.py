@@ -322,15 +322,19 @@ def gelu(a: Tensor) -> Tensor:
     error of at most 4.5e-7 bounds Phi's by 2.3e-7, so the f32 output is
     within about 2.3e-7 |x| of the exact GELU before rounding. Both run
     over flat blocks of ``_GELU_BLOCK`` elements, as does the backward,
-    g * (Phi(x) + x phi(x)).
+    g * (Phi(x) + x phi(x)). Only the backward reads Phi(x) again, so
+    Phi fills a full-size buffer only when the op is recorded; otherwise
+    every block reuses one block-sized workspace.
     """
     x = a.data.reshape(-1)
     erf_block = _erf_f32 if x.dtype == np.float32 else (lambda z: erf(z, out=z))
-    blocks = [slice(i, i + _GELU_BLOCK) for i in range(0, x.size, _GELU_BLOCK)]
-    cdf = np.empty_like(x)
+    blocks = [slice(i, min(i + _GELU_BLOCK, x.size)) for i in range(0, x.size, _GELU_BLOCK)]
+    recorded = _recording and a.requires_grad
+    cdf = np.empty(x.size if recorded else min(x.size, _GELU_BLOCK), dtype=x.dtype)
     y = np.empty_like(x)
     for blk in blocks:
-        c = erf_block(np.multiply(x[blk], _INV_SQRT2, out=cdf[blk]))
+        ws = cdf[blk] if recorded else cdf[:blk.stop - blk.start]
+        c = erf_block(np.multiply(x[blk], _INV_SQRT2, out=ws))
         c += 1.0
         c *= 0.5
         np.multiply(x[blk], c, out=y[blk])
@@ -532,6 +536,7 @@ def _conv_matmul(x: np.ndarray, w: np.ndarray, b: Optional[np.ndarray], stride: 
     n, c_in, h, wid = x.shape
     c_out, _, k, _ = w.shape
     xp, taps = _pad_and_taps(x, k, stride, padding, ho, wo)
+    padded = xp.shape
     whole = k == 1 and stride == 1 and padding == 0
     cols = xp if whole else np.stack([xp[at] for _, _, at in taps], axis=2)
     cols = cols.reshape(n, c_in * k * k, ho * wo)
@@ -547,7 +552,7 @@ def _conv_matmul(x: np.ndarray, w: np.ndarray, b: Optional[np.ndarray], stride: 
         if whole:
             return gcols.reshape(x.shape), gw
         gcols = gcols.reshape(n, c_in, k * k, ho, wo)
-        gxp = np.zeros(xp.shape, dtype=x.dtype)
+        gxp = np.zeros(padded, dtype=x.dtype)
         for t, (_, _, at) in enumerate(taps):
             gxp[at] += gcols[:, :, t]
         return gxp[:, :, padding:padding + h, padding:padding + wid], gw
@@ -629,7 +634,8 @@ def _conv_dw_fft(x: np.ndarray, w: np.ndarray, b: Optional[np.ndarray], pad: int
 
 def _conv_taps(x: np.ndarray, w: np.ndarray, b: Optional[np.ndarray], stride: int,
                padding: int, depthwise: bool, ho: int, wo: int):
-    """Any supported conv as a sum over its k*k taps, in the tensor's dtype."""
+    """Any supported conv as a sum over its k*k taps, in the tensor's dtype.
+    The backward pads ``x`` again rather than keep a padded copy on the tape."""
     n, c_in, h, wid = x.shape
     c_out, _, k, _ = w.shape
     xp, taps = _pad_and_taps(x, k, stride, padding, ho, wo)
@@ -646,6 +652,7 @@ def _conv_taps(x: np.ndarray, w: np.ndarray, b: Optional[np.ndarray], stride: in
         acc += b[None, :, None, None]
 
     def bw(g):
+        xp, _ = _pad_and_taps(x, k, stride, padding, ho, wo)
         gxp = np.zeros(xp.shape, dtype=x.dtype)
         gw = np.empty(w.shape, dtype=w.dtype)
         tmp = np.empty((n, c_in, ho, wo), dtype=x.dtype)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from ctmar import tensor as tensor_module
 from ctmar.model import (
     ChannelAttention,
     CheckpointError,
@@ -83,6 +84,12 @@ class TestConfig:
         fields = dict(TINY.to_dict(), **{field: value})
         with pytest.raises(ConfigError):
             ModelConfig.from_dict(fields)
+
+    def test_list_counts_stored_as_tuples(self):
+        listed = ModelConfig(num_blocks=[1, 2, 4, 8], num_heads=[1, 2, 4, 8])
+        assert listed.num_blocks == (1, 2, 4, 8) and listed.num_heads == (1, 2, 4, 8)
+        assert listed == preset("L")
+        assert hash(listed) == hash(preset("L"))
 
     def test_one_channel_feed_forward_accepted(self):
         cfg = ModelConfig.from_dict(dict(TINY.to_dict(), expansion=0.1))   # round(0.8) = 1
@@ -347,6 +354,41 @@ class TestNoGradInference:
         tape_free = peak(lambda: restore_slice(model, hu))
         assert tape_free < 0.5 * recording, (tape_free, recording)
 
+    def test_restore_slice_peak_memory_bounded_by_shapes(self):
+        """Preset T, one 128x128 f32 slice. The busiest moment is the
+        feed-forward's 7x7 depth-wise conv at level 1 (128x128, 48 channels,
+        hidden width 96). It must hold:
+        - two hidden-width maps, the conv's input and output;
+        - three model-width maps still bound by callers: the block input
+          in MARNet.forward, the post-attention residual in
+          TransformerBlock.forward and the norm2 output the feed-forward
+          reads;
+        - the FFT's channel-block workspace: each spectrum block has at most
+          _FFT_BLOCK complex64 values, and the loop holds at most four
+          block-sized arrays (the previous block's spectrum, the new one,
+          the tap spectrum or the cropped inverse, and the column pass's
+          result where scipy does not overwrite in place);
+        - a few single-channel f64 planes of the slice: four at most.
+        The gelus that follow need less: their input, their output and one
+        block of erf workspace.
+        """
+        model = t_with_drawn_head(7)
+        size, width = 128, 48
+        hidden = int(round(model.config.expansion * width))
+        plane = size * size * np.dtype(np.float32).itemsize
+        bound = (2 * hidden * plane + 3 * width * plane
+                 + 4 * tensor_module._FFT_BLOCK * np.dtype(np.complex64).itemsize
+                 + 4 * size * size * np.dtype(np.float64).itemsize)
+        hu = np.random.default_rng(18).uniform(-1000, 2800, size=(size, size))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            restore_slice(model, hu)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, (peak, bound)
+
 
 class TestCheckpoint:
     def test_roundtrip_bit_exact(self, tmp_path):
@@ -373,6 +415,12 @@ class TestCheckpoint:
         save_checkpoint(model, path)
         with pytest.raises(CheckpointError):
             load_checkpoint(path, expect_config=preset("T"))
+
+    def test_list_built_expect_config_accepted(self, tmp_path):
+        path = tmp_path / "large.mckp"
+        save_checkpoint(build_model(preset("L"), seed=2), path)
+        listed = ModelConfig(num_blocks=[1, 2, 4, 8], num_heads=[1, 2, 4, 8])
+        assert load_checkpoint(path, expect_config=listed).config == preset("L")
 
     def test_corrupt_file_rejected(self, tmp_path):
         path = tmp_path / "bad.mckp"

@@ -1,6 +1,8 @@
 """Forward-semantics tests for the tensor core, oracle values first."""
 
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -264,6 +266,29 @@ class TestConv2dProperty:
             assert np.abs(bt.grad - gb).max() <= tol * ag.sum(axis=(0, 2, 3)).max()
 
 
+class TestConvTape:
+    @pytest.mark.parametrize("c_out,stride,groups", [(16, 2, 16), (4, 1, 1)],
+                             ids=["dw3x3-stride2", "dense3x3"])
+    def test_recorded_tap_loop_conv_retains_only_its_output(self, c_out, stride, groups):
+        """A recorded tap-loop conv keeps ``x`` for its backward, which the
+        parent holds anyway, so what it adds to memory is its output. The
+        padded input (16 x 66 x 66 f32, 279 KB) must not stay on the tape;
+        16 KiB covers the Python objects (the Tensor, closures, tap indices)."""
+        rng = np.random.default_rng(31)
+        x = Tensor(rng.normal(size=(1, 16, 64, 64)).astype(np.float32), requires_grad=True)
+        w = Tensor(rng.normal(size=(c_out, 16 // groups, 3, 3)).astype(np.float32),
+                   requires_grad=True)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            out = conv2d(x, w, stride=stride, padding=1, groups=groups)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert out._backward_fn is not None
+        assert retained <= out.data.nbytes + 16 * 1024, (retained, out.data.nbytes)
+
+
 class TestPixelShuffle:
     def test_unshuffle_single_block(self):
         x = Tensor(np.array([[[[1.0, 2.0], [3.0, 4.0]]]]))
@@ -353,6 +378,41 @@ class TestGelu:
         bound = 1e-6 * np.maximum(1.0, np.abs(x.astype(np.float64)))
         for got, want in zip(*results):
             assert np.all(np.abs(got - want) <= bound)
+
+    @pytest.mark.parametrize("dt", [np.float32, np.float64])
+    @pytest.mark.parametrize("size", [1, tensor_module._GELU_BLOCK - 1, tensor_module._GELU_BLOCK,
+                                      3 * tensor_module._GELU_BLOCK + 8])
+    def test_no_grad_bit_identical_to_recorded(self, size, dt):
+        """Without a tape the erf values go through one block-sized workspace
+        instead of a full-size buffer; the bits must not change, short last
+        block included."""
+        x = np.random.default_rng(size).normal(scale=3.0, size=size).astype(dt)
+        recorded = gelu(Tensor(x, requires_grad=True))
+        assert recorded._backward_fn is not None
+        with no_grad():
+            out = gelu(Tensor(x, requires_grad=True))
+        bits = np.int32 if dt == np.float32 else np.int64
+        np.testing.assert_array_equal(out.data.view(bits), recorded.data.view(bits))
+
+    @pytest.mark.parametrize("dt", [np.float32, np.float64])
+    def test_no_grad_allocates_output_and_one_block(self, dt):
+        """Under no_grad, gelu's peak allocation is its output plus one
+        block's erf workspace: the block of x / sqrt(2) itself and, for f32,
+        the three block-sized temporaries of ``_erf_f32`` (z^2, numerator,
+        denominator); scipy's f64 erf runs in place. 16 KiB covers the
+        Python objects (block slices, the result Tensor)."""
+        block = tensor_module._GELU_BLOCK
+        x = Tensor(np.linspace(-6.0, 6.0, 8 * block + 8).astype(dt), requires_grad=True)
+        workspace = (4 if dt == np.float32 else 1) * block * x.data.itemsize
+        gc.collect()
+        tracemalloc.start()
+        try:
+            with no_grad():
+                out = gelu(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.data.nbytes + workspace + 16 * 1024, (peak, out.data.nbytes)
 
 
 class TestSoftmax:
