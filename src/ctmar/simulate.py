@@ -24,6 +24,7 @@ from . import io as tio
 MU_WATER = 0.0192          # attenuation of water, 1/mm
 HU_MIN = -1000.0
 HU_MAX = 2800.0
+METAL_HU = 30000.0         # metal's pre-clip insertion value
 FIELD_MM = 160.0           # physical field of view represented by a slice
 _SAMPLE_BLOCK = 1 << 13    # samples per bilinear block; its temporaries stay in cache
 
@@ -53,7 +54,6 @@ class Sinogram:
 class SimParams:
     n_angles: int = 180
     n_detectors: Optional[int] = None    # default: image diagonal
-    metal_hu: float = 30000.0            # pre-clip insertion value
     beam_hardening: float = 0.3
 
     def __post_init__(self):
@@ -255,7 +255,7 @@ def simulate_ma_pair(clean: PhantomImage, metal_mask: np.ndarray,
                      params: SimParams) -> Tuple[PhantomImage, PhantomImage]:
     """Degrade ``clean`` with inserted metal plus beam hardening.
 
-    The metal's attenuation is taken from the unclipped insertion HU,
+    The metal's attenuation is taken from the unclipped ``METAL_HU``,
     so the reconstruction saturates the display window at the implant;
     the returned MA image is clipped back to [-1000, 2800] HU. An
     empty mask degenerates to the plain projection round trip.
@@ -271,7 +271,7 @@ def simulate_ma_pair(clean: PhantomImage, metal_mask: np.ndarray,
 
     mu = hu_to_mu(clean)
     if n_metal:
-        mu[mask] = MU_WATER * (1.0 + params.metal_hu / 1000.0)
+        mu[mask] = MU_WATER * (1.0 + METAL_HU / 1000.0)
     sino = radon_forward(mu, params, clean.spacing)
 
     if n_metal and params.beam_hardening > 0:

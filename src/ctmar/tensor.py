@@ -515,48 +515,66 @@ def _conv_out_extent(h: int, k: int, stride: int, padding: int) -> int:
 
 
 def _pad_and_taps(x: np.ndarray, k: int, stride: int, padding: int, ho: int, wo: int):
-    """The zero-padded input and, per tap (di, dj) in row-major order, the
-    index of the strided (N, C, Ho, Wo) window that tap reads."""
+    """``x`` zero-padded on its last two axes and, per tap in row-major
+    order, the index of the strided (..., Ho, Wo) window that tap reads."""
+    *lead, h, wid = x.shape
+    xp = x
     if padding:
-        n, c, h, wid = x.shape
-        xp = np.zeros((n, c, h + 2 * padding, wid + 2 * padding), dtype=x.dtype)
-        xp[:, :, padding:padding + h, padding:padding + wid] = x
-    else:
-        xp = x
-    return xp, [(di, dj, (slice(None), slice(None), slice(di, di + stride * ho, stride),
-                          slice(dj, dj + stride * wo, stride)))
+        xp = np.zeros((*lead, h + 2 * padding, wid + 2 * padding), dtype=x.dtype)
+        xp[..., padding:padding + h, padding:padding + wid] = x
+    return xp, [(..., slice(di, di + stride * ho, stride), slice(dj, dj + stride * wo, stride))
                 for di in range(k) for dj in range(k)]
 
 
 def _conv_matmul(x: np.ndarray, w: np.ndarray, b: Optional[np.ndarray], stride: int,
                  padding: int, ho: int, wo: int):
-    """Dense conv as one matmul: (C_out, C_in*k*k) @ the k*k tap windows
-    stacked as (N, C_in*k*k, Ho*Wo). A 1x1 stride-1 unpadded conv uses the
-    input itself as that stack, so nothing is copied."""
+    """Dense conv as one matmul over the k*k taps of its narrower side.
+
+    Windows (k == 1 or C_in <= C_out, im2col): (C_out, C_in*k*k) @ the
+    stacked tap windows of x, or x itself if 1x1, stride 1 and unpadded.
+    Planes (col2im): (k*k*C_out, C_in) @ x is a plane per tap; each padded
+    plane is read at its tap's window and summed. The backward places g in
+    those windows, so its tape keeps the reshaped weight and shapes only.
+    """
     n, c_in, h, wid = x.shape
     c_out, _, k, _ = w.shape
-    xp, taps = _pad_and_taps(x, k, stride, padding, ho, wo)
-    padded = xp.shape
-    whole = k == 1 and stride == 1 and padding == 0
-    cols = xp if whole else np.stack([xp[at] for _, _, at in taps], axis=2)
-    cols = cols.reshape(n, c_in * k * k, ho * wo)
-    w2 = w.reshape(c_out, c_in * k * k)
-    out = np.matmul(w2, cols).reshape(n, c_out, ho, wo)
+    if k == 1 or c_in <= c_out:
+        xp, taps = _pad_and_taps(x, k, stride, padding, ho, wo)
+        padded = xp.shape
+        whole = k == 1 and stride == 1 and padding == 0
+        cols = xp if whole else np.stack([xp[at] for at in taps], axis=2)
+        cols = cols.reshape(n, c_in * k * k, ho * wo)
+        w2 = w.reshape(c_out, c_in * k * k)
+        out = np.matmul(w2, cols).reshape(n, c_out, ho, wo)
+
+        def bw(g):
+            gr = g.reshape(n, c_out, ho * wo)
+            gw = np.matmul(gr, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
+            gcols = np.matmul(w2.T, gr)
+            if whole:
+                return gcols.reshape(x.shape), gw
+            gcols = gcols.reshape(n, c_in, k * k, ho, wo)
+            gxp = np.zeros(padded, dtype=x.dtype)
+            for t, at in enumerate(taps):
+                gxp[at] += gcols[:, :, t]
+            return gxp[:, :, padding:padding + h, padding:padding + wid], gw
+    else:
+        w2 = w.transpose(2, 3, 0, 1).reshape(k * k * c_out, c_in)
+        planes = np.matmul(w2, x.reshape(n, c_in, h * wid)).reshape(n, k * k, c_out, h, wid)
+        planes, taps = _pad_and_taps(planes, k, stride, padding, ho, wo)
+        padded = planes.shape
+        out = sum(planes[:, t][at] for t, at in enumerate(taps))
+
+        def bw(g):
+            gp = np.zeros(padded, dtype=x.dtype)
+            for t, at in enumerate(taps):
+                gp[:, t][at] = g
+            gp = gp[..., padding:padding + h, padding:padding + wid].reshape(n, -1, h * wid)
+            gw = np.matmul(gp, x.reshape(n, c_in, h * wid).transpose(0, 2, 1)).sum(axis=0)
+            return (np.matmul(w2.T, gp).reshape(x.shape),
+                    gw.reshape(k, k, c_out, c_in).transpose(2, 3, 0, 1))
     if b is not None:
         out += b[None, :, None, None]
-
-    def bw(g):
-        gr = g.reshape(n, c_out, ho * wo)
-        gw = np.matmul(gr, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
-        gcols = np.matmul(w2.T, gr)
-        if whole:
-            return gcols.reshape(x.shape), gw
-        gcols = gcols.reshape(n, c_in, k * k, ho, wo)
-        gxp = np.zeros(padded, dtype=x.dtype)
-        for t, (_, _, at) in enumerate(taps):
-            gxp[at] += gcols[:, :, t]
-        return gxp[:, :, padding:padding + h, padding:padding + wid], gw
-
     return out, bw
 
 
@@ -633,43 +651,29 @@ def _conv_dw_fft(x: np.ndarray, w: np.ndarray, b: Optional[np.ndarray], pad: int
 
 
 def _conv_taps(x: np.ndarray, w: np.ndarray, b: Optional[np.ndarray], stride: int,
-               padding: int, depthwise: bool, ho: int, wo: int):
-    """Any supported conv as a sum over its k*k taps, in the tensor's dtype.
+               padding: int, ho: int, wo: int):
+    """Depth-wise conv as a sum over its k*k taps, in the tensor's dtype.
     The backward pads ``x`` again rather than keep a padded copy on the tape."""
-    n, c_in, h, wid = x.shape
-    c_out, _, k, _ = w.shape
+    n, c, h, wid = x.shape
+    k = w.shape[-1]
+    wt = w.reshape(c, k * k, 1, 1)
     xp, taps = _pad_and_taps(x, k, stride, padding, ho, wo)
-    acc = np.zeros((n, c_out, ho, wo), dtype=x.dtype)
+    acc = np.zeros((n, c, ho, wo), dtype=x.dtype)
     tmp = np.empty_like(acc)
-    for di, dj, at in taps:
-        if depthwise:
-            np.multiply(xp[at], w[:, 0, di, dj][None, :, None, None], out=tmp)
-        else:
-            np.matmul(w[:, :, di, dj], xp[at].reshape(n, c_in, ho * wo),
-                      out=tmp.reshape(n, c_out, ho * wo))
-        acc += tmp
+    for t, at in enumerate(taps):
+        acc += np.multiply(xp[at], wt[:, t], out=tmp)
     if b is not None:
         acc += b[None, :, None, None]
 
     def bw(g):
         xp, _ = _pad_and_taps(x, k, stride, padding, ho, wo)
         gxp = np.zeros(xp.shape, dtype=x.dtype)
-        gw = np.empty(w.shape, dtype=w.dtype)
-        tmp = np.empty((n, c_in, ho, wo), dtype=x.dtype)
-        if depthwise:
-            prod = np.empty_like(tmp)
-        else:
-            gr = g.reshape(n, c_out, ho * wo)
-        for di, dj, at in taps:
-            if depthwise:
-                gw[:, 0, di, dj] = np.multiply(g, xp[at], out=prod).sum(axis=(0, 2, 3))
-                np.multiply(g, w[:, 0, di, dj][None, :, None, None], out=tmp)
-            else:
-                xr = xp[at].reshape(n, c_in, ho * wo)
-                gw[:, :, di, dj] = np.matmul(gr, xr.transpose(0, 2, 1)).sum(axis=0)
-                np.matmul(w[:, :, di, dj].T, gr, out=tmp.reshape(n, c_in, ho * wo))
-            gxp[at] += tmp
-        return gxp[:, :, padding:padding + h, padding:padding + wid], gw
+        gw = np.empty((c, k * k), dtype=w.dtype)
+        tmp = np.empty(g.shape, dtype=x.dtype)
+        for t, at in enumerate(taps):
+            gw[:, t] = np.multiply(g, xp[at], out=tmp).sum(axis=(0, 2, 3))
+            gxp[at] += np.multiply(g, wt[:, t], out=tmp)
+        return gxp[:, :, padding:padding + h, padding:padding + wid], gw.reshape(w.shape)
 
     return acc, bw
 
@@ -682,13 +686,11 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     groupings are supported: dense (groups == 1) and depth-wise
     (groups == C_in == C_out); any other ``groups`` raises ShapeError.
 
-    The kernel follows from the shapes. A dense conv is one matmul over
-    its stacked tap windows when k is 1 or that stack, C_in*k*k rows, is
-    no larger than the C_out-row output (the 1-channel intro); a
-    depth-wise stride-1 conv with k >= 5 and same padding runs through an
-    FFT; every other conv is a loop over the k*k taps. The kernels all
-    compute in the tensor's dtype, so f64 stays exact enough for
-    gradcheck and f32 sums in f32.
+    The kernel follows from the shapes: every dense conv is one matmul
+    (``_conv_matmul``), a depth-wise stride-1 same-padded conv with k >= 5
+    runs through an FFT, and any other depth-wise conv loops over its k*k
+    taps. The kernels all compute in the tensor's dtype, so f64 stays
+    exact enough for gradcheck and f32 sums in f32.
     """
     _check_same_dtype(x, weight, *([bias] if bias is not None else []))
     _, c_in, h, w = _nchw(x, "conv2d")
@@ -699,8 +701,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
         raise ShapeError(f"kernel extent must be odd, got {k}")
     if stride < 1 or padding < 0 or groups < 1:
         raise ValueError("stride >= 1, padding >= 0, groups >= 1 required")
-    depthwise = groups == c_in == c_out
-    if groups != 1 and not depthwise:
+    if groups != 1 and not (groups == c_in == c_out):
         raise ShapeError(f"groups={groups} is neither 1 nor depth-wise for channels "
                          f"{c_in}->{c_out}")
     if c_in_g != c_in // groups:
@@ -711,13 +712,12 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     wo = _conv_out_extent(w, k, stride, padding)
 
     bd = None if bias is None else bias.data
-    if groups == 1 and (k == 1 or c_in * k * k <= c_out):
+    if groups == 1:
         out_data, kernel_bw = _conv_matmul(x.data, weight.data, bd, stride, padding, ho, wo)
-    elif depthwise and stride == 1 and k >= 5 and 2 * padding == k - 1:
+    elif stride == 1 and k >= 5 and 2 * padding == k - 1:
         out_data, kernel_bw = _conv_dw_fft(x.data, weight.data, bd, padding)
     else:
-        out_data, kernel_bw = _conv_taps(x.data, weight.data, bd, stride, padding,
-                                         depthwise, ho, wo)
+        out_data, kernel_bw = _conv_taps(x.data, weight.data, bd, stride, padding, ho, wo)
     out = Tensor(out_data)
 
     def bw(g):

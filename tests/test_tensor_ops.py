@@ -148,6 +148,28 @@ class TestConv2d:
             with pytest.raises(ShapeError):
                 conv2d(x, w, groups=2)
 
+    @pytest.mark.parametrize("c_in,c_out,k,stride,padding", [
+        pytest.param(3, 5, 1, 1, 0, id="1x1-widening"),
+        pytest.param(5, 3, 1, 1, 0, id="1x1-narrowing"),
+        *[pytest.param(c_in, c_out, 3, s, p, id=f"{name}-stride{s}-pad{p}")
+          for name, c_in, c_out in [("intro", 1, 9), ("outro", 3, 1)]
+          for s in (1, 2) for p in (0, 1)],
+    ])
+    def test_dense_convs_never_reach_tap_loop(self, monkeypatch, c_in, c_out, k, stride,
+                                              padding):
+        """Every groups == 1 conv runs as one matmul, in both directions: 1x1
+        widening and narrowing, the intro's shape (1 -> 9) and the outro's
+        (3 -> 1) at stride 1 and 2, padding 0 and 1."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense conv reached the tap loop")
+
+        monkeypatch.setattr(tensor_module, "_conv_taps", refuse)
+        rng = np.random.default_rng(5)
+        x = Tensor(rng.normal(size=(2, c_in, 7, 6)).astype(np.float32), requires_grad=True)
+        w = Tensor(rng.normal(size=(c_out, c_in, k, k)).astype(np.float32), requires_grad=True)
+        tmean(conv2d(x, w, stride=stride, padding=padding)).backward()
+        assert x.grad.shape == x.shape and w.grad.shape == w.shape
+
     def test_even_kernel_rejected(self):
         x = Tensor(np.zeros((1, 1, 4, 4), dtype=np.float32))
         w = Tensor(np.zeros((1, 1, 2, 2), dtype=np.float32))
@@ -162,16 +184,20 @@ def _case(kind, n, c_in, c_out, h, w, k, stride, padding, dtype="f32", bias=True
 
 @st.composite
 def conv_cases(draw, kind):
-    """Shapes for one conv2d kernel: "dense1x1" (matmul), "dense3x3_matmul"
-    (3x3 with C_in*9 <= C_out, the intro's shape, also one matmul),
-    "dense3x3_taps" (3x3 with fewer output channels, the outro's shape,
-    on the tap loop), "dw_fft" (depth-wise, stride 1, same padding, k in
-    {5, 7}) or "dw_taps" (depth-wise, strided or not same-padded, which
-    stays on the tap loop)."""
-    c = draw(st.integers(1, 2 if kind == "dense3x3_matmul" else 3))
-    if kind == "dense3x3_matmul":
-        c_out = draw(st.integers(9 * c, 9 * c + 2))
-    elif kind in ("dense1x1", "dense3x3_taps"):
+    """Shapes for one conv2d kernel: "dense1x1" (one matmul over the input),
+    "dense3x3_windows" (3x3 with C_in <= C_out, as the intro: one matmul
+    over the stacked input windows), "dense3x3_planes" (3x3 with
+    C_in > C_out, as the outro: one matmul giving an output plane per
+    tap), "dw_fft" (depth-wise, stride 1, same padding, k in {5, 7}) or
+    "dw_taps" (depth-wise, strided or not same-padded, on the tap loop).
+    A 1-channel depth-wise conv is also dense and runs as a matmul, so the
+    depth-wise kinds, like the planes kind, draw at least 2 channels."""
+    c = draw(st.integers(1 if kind in ("dense1x1", "dense3x3_windows") else 2, 3))
+    if kind == "dense3x3_windows":
+        c_out = draw(st.integers(c, 9))
+    elif kind == "dense3x3_planes":
+        c_out = draw(st.integers(1, c - 1))
+    elif kind == "dense1x1":
         c_out = draw(st.integers(1, 4))
     else:
         c_out = c
@@ -201,8 +227,8 @@ class TestConv2dProperty:
     # sum, so it holds for rounding in any summation order
     TOL = {"f32": 1e-5, "f64": 1e-12}
 
-    @pytest.mark.parametrize("kind", ["dense1x1", "dw_fft", "dw_taps", "dense3x3_matmul",
-                                      "dense3x3_taps"])
+    @pytest.mark.parametrize("kind", ["dense1x1", "dw_fft", "dw_taps", "dense3x3_windows",
+                                      "dense3x3_planes"])
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(data=st.data())
     def test_matches_loop_reference(self, kind, data):
@@ -217,13 +243,13 @@ class TestConv2dProperty:
         _case("dw_taps", 2, 2, 2, 8, 10, 7, 1, 0, dtype="f64"),
         _case("dense1x1", 2, 3, 4, 6, 9, 1, 1, 0),
         _case("dense1x1", 1, 3, 4, 6, 9, 1, 1, 0, dtype="f64"),
-        _case("dense3x3_matmul", 2, 1, 9, 9, 8, 3, 1, 1),
-        _case("dense3x3_matmul", 1, 2, 18, 7, 9, 3, 2, 1, dtype="f64"),
-        _case("dense3x3_taps", 2, 3, 1, 8, 9, 3, 1, 1),
+        _case("dense3x3_windows", 2, 1, 9, 9, 8, 3, 1, 1),
+        _case("dense3x3_windows", 1, 2, 18, 7, 9, 3, 2, 1, dtype="f64"),
+        _case("dense3x3_planes", 2, 3, 1, 8, 9, 3, 1, 1),
     ], ids=["fft-8x8", "fft-8x8-batch1-f64", "fft-5x11", "fft-12x7-f64",
             "taps-strided-9x8", "taps-unpadded-8x10-f64", "1x1-batch2",
             "1x1-batch1-f64", "3x3-matmul-intro", "3x3-matmul-strided-f64",
-            "3x3-taps-outro"])
+            "3x3-planes-outro"])
     def test_named_shapes(self, case):
         self.check(case)
 
@@ -268,12 +294,14 @@ class TestConv2dProperty:
 
 class TestConvTape:
     @pytest.mark.parametrize("c_out,stride,groups", [(16, 2, 16), (4, 1, 1)],
-                             ids=["dw3x3-stride2", "dense3x3"])
-    def test_recorded_tap_loop_conv_retains_only_its_output(self, c_out, stride, groups):
-        """A recorded tap-loop conv keeps ``x`` for its backward, which the
-        parent holds anyway, so what it adds to memory is its output. The
-        padded input (16 x 66 x 66 f32, 279 KB) must not stay on the tape;
-        16 KiB covers the Python objects (the Tensor, closures, tap indices)."""
+                             ids=["dw3x3-stride2-taps", "dense3x3-planes"])
+    def test_recorded_conv_retains_only_its_output(self, c_out, stride, groups):
+        """A recorded depth-wise tap-loop conv or dense output-planes conv
+        keeps ``x`` for its backward, which the parent holds anyway, so what
+        it adds to memory is its output. Neither the padded input (16 x 66 x
+        66 f32, 279 KB) nor the padded planes may stay on the tape; 16 KiB
+        covers the Python objects (the Tensor, closures, tap indices) and the
+        planes kernel's reshaped weight (2.3 KB)."""
         rng = np.random.default_rng(31)
         x = Tensor(rng.normal(size=(1, 16, 64, 64)).astype(np.float32), requires_grad=True)
         w = Tensor(rng.normal(size=(c_out, 16 // groups, 3, 3)).astype(np.float32),
