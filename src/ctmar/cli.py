@@ -102,7 +102,7 @@ def cmd_infer(args) -> int:
 
 def cmd_eval(args) -> int:
     from .model import load_checkpoint
-    from .train import evaluate, write_metrics_csv
+    from .train import HU_DATA_RANGE, evaluate, write_metrics_csv
 
     model = load_checkpoint(args.ckpt)
     report = evaluate(model, args.data, split=args.split)
@@ -110,7 +110,7 @@ def cmd_eval(args) -> int:
     for image_id, p, s in report.rows:
         print(f"{image_id},{p:.6f},{s:.8f}")
     print(f"mean,{report.mean_psnr:.6f},{report.mean_ssim:.8f}")
-    print(f"# data_range = {report.data_range} HU")
+    print(f"# data_range = {HU_DATA_RANGE} HU")
     if args.out:
         write_metrics_csv(args.out, report)
         print(f"# written to {args.out}")

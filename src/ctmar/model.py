@@ -27,6 +27,7 @@ from . import io as tio
 from .tensor import (
     Tensor,
     ShapeError,
+    _as_dtype,
     concat,
     conv2d,
     gelu,
@@ -187,17 +188,21 @@ class Module:
     def params(self) -> list:
         return [t for _, t in self.named_params()]
 
+    def astype(self, dtype: str) -> "Module":
+        """Cast every parameter to ``dtype`` ("f32" or "f64") in place; returns self."""
+        for t in self.params():
+            t.data = t.data.astype(_as_dtype(dtype), copy=False)
+        return self
+
 
 class Conv2d(Module):
     def __init__(self, rng: Optional[np.random.Generator], c_in: int, c_out: int, k: int,
-                 stride: int = 1, groups: int = 1, bias: bool = False,
-                 zero_init: bool = False, dtype: str = "f32"):
-        fan_in = (c_in // groups) * k * k
-        bound = 1.0 / math.sqrt(fan_in)
+                 stride: int = 1, groups: int = 1, bias: bool = False):
+        bound = 1.0 / math.sqrt((c_in // groups) * k * k)
         shape = (c_out, c_in // groups, k, k)
-        w = np.zeros(shape) if zero_init or rng is None else rng.uniform(-bound, bound, size=shape)
-        self.weight = Tensor(w, dtype=dtype, requires_grad=True)
-        self.bias = Tensor(np.zeros(c_out), dtype=dtype, requires_grad=True) if bias else None
+        w = np.zeros(shape) if rng is None else rng.uniform(-bound, bound, size=shape)
+        self.weight = Tensor(w, requires_grad=True)
+        self.bias = Tensor(np.zeros(c_out), requires_grad=True) if bias else None
         self.stride = stride
         self.padding = (k - 1) // 2
         self.groups = groups
@@ -213,12 +218,11 @@ class Conv2d(Module):
 class ChannelLayerNorm(Module):
     """Bias-free per-pixel normalization across channels."""
 
-    def __init__(self, channels: int, eps: float = 1e-6, dtype: str = "f32"):
-        self.gamma = Tensor(np.ones(channels), dtype=dtype, requires_grad=True)
-        self.eps = eps
+    def __init__(self, channels: int):
+        self.gamma = Tensor(np.ones(channels), requires_grad=True)
 
     def forward(self, x: Tensor) -> Tensor:
-        return layernorm_channels(x, self.gamma, self.eps)
+        return layernorm_channels(x, self.gamma)
 
     def macs(self, h: int, w: int) -> int:
         return self.gamma.size * h * w
@@ -235,21 +239,18 @@ class ChannelAttention(Module):
     depth-wise conv first, V shrinks channels first.
     """
 
-    def __init__(self, rng, channels: int, heads: int, spatial_ratio: int,
-                 channel_ratio: int, dtype: str = "f32"):
+    def __init__(self, rng, channels: int, heads: int, spatial_ratio: int, channel_ratio: int):
         reduced = channels // channel_ratio
-        self.q_dw = Conv2d(rng, channels, channels, 3, stride=spatial_ratio,
-                           groups=channels, dtype=dtype)
-        self.q_proj = Conv2d(rng, channels, channels, 1, dtype=dtype)
-        self.k_dw = Conv2d(rng, channels, channels, 3, stride=spatial_ratio,
-                           groups=channels, dtype=dtype)
-        self.k_proj = Conv2d(rng, channels, reduced, 1, dtype=dtype)
-        self.v_proj = Conv2d(rng, channels, reduced, 1, dtype=dtype)
-        self.v_dw = Conv2d(rng, reduced, reduced, 3, stride=1, groups=reduced, dtype=dtype)
-        self.out_proj = Conv2d(rng, channels, channels, 1, dtype=dtype)
+        self.q_dw = Conv2d(rng, channels, channels, 3, stride=spatial_ratio, groups=channels)
+        self.q_proj = Conv2d(rng, channels, channels, 1)
+        self.k_dw = Conv2d(rng, channels, channels, 3, stride=spatial_ratio, groups=channels)
+        self.k_proj = Conv2d(rng, channels, reduced, 1)
+        self.v_proj = Conv2d(rng, channels, reduced, 1)
+        self.v_dw = Conv2d(rng, reduced, reduced, 3, stride=1, groups=reduced)
+        self.out_proj = Conv2d(rng, channels, channels, 1)
         # one learnable log-temperature per head; zero means the scores
         # are scaled by exactly 1/sqrt(#query positions)
-        self.temperature = Tensor(np.zeros((heads, 1, 1)), dtype=dtype, requires_grad=True)
+        self.temperature = Tensor(np.zeros((heads, 1, 1)), requires_grad=True)
         self.heads = heads
         self.channels = channels
         self.reduced = reduced
@@ -292,12 +293,11 @@ class ChannelAttention(Module):
 class ConvFeedForward(Module):
     """Expand channels, GELU, wide depth-wise conv, GELU, shrink."""
 
-    def __init__(self, rng, channels: int, expansion: float, kernel: int,
-                 dtype: str = "f32"):
+    def __init__(self, rng, channels: int, expansion: float, kernel: int):
         hidden = int(round(expansion * channels))
-        self.conv_in = Conv2d(rng, channels, hidden, 1, dtype=dtype)
-        self.conv_dw = Conv2d(rng, hidden, hidden, kernel, groups=hidden, dtype=dtype)
-        self.conv_out = Conv2d(rng, hidden, channels, 1, dtype=dtype)
+        self.conv_in = Conv2d(rng, channels, hidden, 1)
+        self.conv_dw = Conv2d(rng, hidden, hidden, kernel, groups=hidden)
+        self.conv_out = Conv2d(rng, hidden, channels, 1)
 
     def forward(self, x: Tensor) -> Tensor:
         # nested, so no name holds a hidden activation its consumer is done with
@@ -311,14 +311,12 @@ class ConvFeedForward(Module):
 class TransformerBlock(Module):
     """Pre-norm residual pair: attention then feed-forward."""
 
-    def __init__(self, rng, channels: int, heads: int, config: ModelConfig,
-                 dtype: str = "f32"):
-        self.norm1 = ChannelLayerNorm(channels, dtype=dtype)
+    def __init__(self, rng, channels: int, heads: int, config: ModelConfig):
+        self.norm1 = ChannelLayerNorm(channels)
         self.attn = ChannelAttention(rng, channels, heads, config.spatial_ratio,
-                                     config.channel_ratio, dtype=dtype)
-        self.norm2 = ChannelLayerNorm(channels, dtype=dtype)
-        self.ffn = ConvFeedForward(rng, channels, config.expansion,
-                                   config.ffn_kernel, dtype=dtype)
+                                     config.channel_ratio)
+        self.norm2 = ChannelLayerNorm(channels)
+        self.ffn = ConvFeedForward(rng, channels, config.expansion, config.ffn_kernel)
 
     def forward(self, x: Tensor) -> Tensor:
         x = x + self.attn.forward(self.norm1.forward(x))
@@ -331,8 +329,8 @@ class TransformerBlock(Module):
 class Downsample(Module):
     """Pixel-unshuffle by 2, then a 1x1 conv from 4*C_in to C_out."""
 
-    def __init__(self, rng, c_in: int, c_out: int, dtype: str = "f32"):
-        self.proj = Conv2d(rng, 4 * c_in, c_out, 1, dtype=dtype)
+    def __init__(self, rng, c_in: int, c_out: int):
+        self.proj = Conv2d(rng, 4 * c_in, c_out, 1)
 
     def forward(self, x: Tensor) -> Tensor:
         return self.proj.forward(pixel_unshuffle(x, 2))
@@ -344,8 +342,8 @@ class Downsample(Module):
 class Upsample(Module):
     """1x1 conv from C_in to 4*C_out, then pixel-shuffle by 2."""
 
-    def __init__(self, rng, c_in: int, c_out: int, dtype: str = "f32"):
-        self.proj = Conv2d(rng, c_in, 4 * c_out, 1, dtype=dtype)
+    def __init__(self, rng, c_in: int, c_out: int):
+        self.proj = Conv2d(rng, c_in, 4 * c_out, 1)
 
     def forward(self, x: Tensor) -> Tensor:
         return pixel_shuffle(self.proj.forward(x), 2)
@@ -357,31 +355,30 @@ class Upsample(Module):
 class MARNet(Module):
     """The end-to-end restorer: encoder levels, bottleneck, decoder, residual add.
 
-    ``rng`` draws the initial weights in ``STAGES`` order. With None no
-    number is drawn and every conv weight starts at zero, for a checkpoint
-    to overwrite or the cost accountant to measure.
+    ``rng`` draws the float64 initial weights in ``STAGES`` order; ``build_model``
+    and ``load_checkpoint`` set the precision. With None nothing is drawn and every
+    conv weight is a float64 zero array that is never written, for a checkpoint to
+    replace or the cost accountant to measure.
     """
 
-    def __init__(self, config: ModelConfig, rng: Optional[np.random.Generator],
-                 dtype: str = "f32"):
+    def __init__(self, config: ModelConfig, rng: Optional[np.random.Generator]):
         chans = config.level_channels
         self.config = config
-        self.dtype = dtype
         for key, kind, level in STAGES:
             c = chans[level]
             if kind == "blocks":
-                part = [TransformerBlock(rng, c, config.num_heads[level], config, dtype)
+                part = [TransformerBlock(rng, c, config.num_heads[level], config)
                         for _ in range(config.num_blocks[level])]
             elif kind == "down":
-                part = Downsample(rng, chans[level - 1], c, dtype=dtype)
+                part = Downsample(rng, chans[level - 1], c)
             elif kind == "up":
-                part = Upsample(rng, chans[level + 1], c, dtype=dtype)
+                part = Upsample(rng, chans[level + 1], c)
             elif kind == "reduce":
-                part = Conv2d(rng, 2 * c, c, 1, dtype=dtype)
+                part = Conv2d(rng, 2 * c, c, 1)
             elif kind == "intro":
-                part = Conv2d(rng, 1, c, 3, bias=True, dtype=dtype)
-            else:   # zeroed head: the untrained network adds a zero residual
-                part = Conv2d(rng, c, 1, 3, bias=True, zero_init=True, dtype=dtype)
+                part = Conv2d(rng, 1, c, 3, bias=True)
+            else:   # zeroed head, drawing nothing: the untrained network adds a zero residual
+                part = Conv2d(None, c, 1, 3, bias=True)
             setattr(self, key, part)
 
     def forward(self, image: Tensor) -> Tensor:
@@ -411,7 +408,8 @@ class MARNet(Module):
 
 
 def build_model(config: ModelConfig, seed: int = 0, dtype: str = "f32") -> MARNet:
-    return MARNet(config, np.random.default_rng(seed), dtype=dtype)
+    """A seeded model in ``dtype``; the weights are drawn in float64 and then cast."""
+    return MARNet(config, np.random.default_rng(seed)).astype(dtype)
 
 
 # -- checkpoints ------------------------------------------------------------------
@@ -419,7 +417,11 @@ def build_model(config: ModelConfig, seed: int = 0, dtype: str = "f32") -> MARNe
 
 def save_checkpoint(model: MARNet, path: Union[str, Path]) -> None:
     """Atomically write config, a tensor manifest, the payload's CRC32 and
-    the MTSR1-encoded parameters (MCKP version 2)."""
+    the MTSR1-encoded parameters (MCKP version 2), all in one dtype: mixed
+    dtypes raise CheckpointError before anything is written."""
+    dtypes = sorted({t.dtype_name for t in model.params()})
+    if len(dtypes) != 1:
+        raise CheckpointError(f"{path}: parameters mix dtypes {dtypes}")
     entries = []
     blobs = []
     offset = 0
@@ -436,7 +438,7 @@ def save_checkpoint(model: MARNet, path: Union[str, Path]) -> None:
     header = {
         "config": model.config.to_dict(),
         "crc32": crc,
-        "dtype": model.dtype,
+        "dtype": dtypes[0],
         "manifest": entries,
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
@@ -474,7 +476,7 @@ def _check_header(path, header, version: int) -> None:
 
 def load_checkpoint(path: Union[str, Path],
                     expect_config: Optional[ModelConfig] = None) -> MARNet:
-    """Rebuild a model from a version 1 or 2 checkpoint, bit-exactly.
+    """Rebuild a model from a version 1 or 2 checkpoint in its dtype, bit-exactly.
 
     If ``expect_config`` is given it must equal the embedded config. A
     version 2 payload must match its CRC32, checked in one streaming pass
@@ -508,7 +510,7 @@ def load_checkpoint(path: Union[str, Path],
         if expect_config is not None and config != expect_config:
             raise CheckpointError(f"{path}: checkpoint config does not match the "
                                   f"requested config")
-        model = MARNet(config, None, dtype=header["dtype"])
+        model = MARNet(config, None)
         params = dict(model.named_params())
         names_found = set()
         payload_start = 9 + header_len
@@ -523,7 +525,7 @@ def load_checkpoint(path: Union[str, Path],
                 raise CheckpointError(f"{path}: corrupt tensor {name!r} ({exc})") from exc
             if list(arr.shape) != entry["shape"] or tuple(arr.shape) != params[name].shape:
                 raise CheckpointError(f"{path}: shape mismatch for {name!r}")
-            params[name].data = np.ascontiguousarray(arr, dtype=params[name].data.dtype)
+            params[name].data = np.ascontiguousarray(arr, dtype=_as_dtype(header["dtype"]))
             names_found.add(name)
         missing = set(params) - names_found
         if missing:

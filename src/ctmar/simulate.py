@@ -25,6 +25,7 @@ MU_WATER = 0.0192          # attenuation of water, 1/mm
 HU_MIN = -1000.0
 HU_MAX = 2800.0
 METAL_HU = 30000.0         # metal's pre-clip insertion value
+METAL_PIXELS = (10, 200)   # least and most implant pixels in a metal-artifact slice
 FIELD_MM = 160.0           # physical field of view represented by a slice
 _SAMPLE_BLOCK = 1 << 13    # samples per bilinear block; its temporaries stay in cache
 
@@ -265,9 +266,9 @@ def simulate_ma_pair(clean: PhantomImage, metal_mask: np.ndarray,
         raise ValueError(f"mask shape {mask.shape} does not match image "
                          f"{clean.pixels.shape}")
     n_metal = int(mask.sum())
-    if 0 < n_metal < 10:
+    if 0 < n_metal < METAL_PIXELS[0]:
         raise ValueError(f"metal mask has {n_metal} pixels; a metal-artifact "
-                         f"slice needs at least 10")
+                         f"slice needs at least {METAL_PIXELS[0]}")
 
     mu = hu_to_mu(clean)
     if n_metal:
@@ -341,9 +342,8 @@ def jaw_phantom(size: int, rng: np.random.Generator) -> PhantomImage:
     return PhantomImage(np.clip(img, HU_MIN, HU_MAX), spacing=FIELD_MM / size)
 
 
-def random_metal_mask(phantom: PhantomImage, rng: np.random.Generator,
-                      min_pixels: int = 10, max_pixels: int = 200) -> np.ndarray:
-    """A small blob of implant pixels centred on a bright (tooth) structure."""
+def random_metal_mask(phantom: PhantomImage, rng: np.random.Generator) -> np.ndarray:
+    """A blob of ``METAL_PIXELS`` implant pixels centred on a bright (tooth) structure."""
     img = phantom.pixels
     size = img.shape[0]
     bright = np.argwhere(img > 1200.0)
@@ -351,12 +351,12 @@ def random_metal_mask(phantom: PhantomImage, rng: np.random.Generator,
         cy, cx = bright[rng.integers(len(bright))]
     else:
         cy, cx = size // 2, size // 2
-    target = int(rng.integers(min_pixels, max_pixels + 1))
+    target = int(rng.integers(METAL_PIXELS[0], METAL_PIXELS[1] + 1))
     radius = max(1.9, math.sqrt(target / math.pi))
     ys, xs = np.mgrid[0:size, 0:size]
     mask = (ys - cy) ** 2 + (xs - cx) ** 2 <= radius ** 2
     # grow until the in-bounds blob clears the floor
-    while mask.sum() < min_pixels:
+    while mask.sum() < METAL_PIXELS[0]:
         radius += 0.5
         mask = (ys - cy) ** 2 + (xs - cx) ** 2 <= radius ** 2
     return mask

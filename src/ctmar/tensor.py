@@ -526,8 +526,7 @@ def _pad_and_taps(x: np.ndarray, k: int, stride: int, padding: int, ho: int, wo:
                 for di in range(k) for dj in range(k)]
 
 
-def _conv_matmul(x: np.ndarray, w: np.ndarray, b: Optional[np.ndarray], stride: int,
-                 padding: int, ho: int, wo: int):
+def _conv_matmul(x: np.ndarray, w: np.ndarray, stride: int, padding: int, ho: int, wo: int):
     """Dense conv as one matmul over the k*k taps of its narrower side.
 
     Windows (k == 1 or C_in <= C_out, im2col): (C_out, C_in*k*k) @ the
@@ -573,8 +572,6 @@ def _conv_matmul(x: np.ndarray, w: np.ndarray, b: Optional[np.ndarray], stride: 
             gw = np.matmul(gp, x.reshape(n, c_in, h * wid).transpose(0, 2, 1)).sum(axis=0)
             return (np.matmul(w2.T, gp).reshape(x.shape),
                     gw.reshape(k, k, c_out, c_in).transpose(2, 3, 0, 1))
-    if b is not None:
-        out += b[None, :, None, None]
     return out, bw
 
 
@@ -608,7 +605,7 @@ def _tap_spectrum(w: np.ndarray, lag: np.ndarray, s: tuple) -> np.ndarray:
     return rows.reshape(s[0], c, m).transpose(1, 0, 2)
 
 
-def _conv_dw_fft(x: np.ndarray, w: np.ndarray, b: Optional[np.ndarray], pad: int):
+def _conv_dw_fft(x: np.ndarray, w: np.ndarray, pad: int):
     """Depth-wise, stride 1, same padding, as products of 2-D spectra.
 
     Each transform spans the kernel and at least (H+pad) x (W+pad), so
@@ -629,8 +626,6 @@ def _conv_dw_fft(x: np.ndarray, w: np.ndarray, b: Optional[np.ndarray], pad: int
         spec = rfft2(x[:, ch], s)
         spec *= _tap_spectrum(w[ch], lag, s)
         out[:, ch] = _irfft2_crop(spec, s, h, wid)
-    if b is not None:
-        out += b[None, :, None, None]
 
     def bw(g):
         gx = np.empty(x.shape, dtype=x.dtype)
@@ -650,8 +645,7 @@ def _conv_dw_fft(x: np.ndarray, w: np.ndarray, b: Optional[np.ndarray], pad: int
     return out, bw
 
 
-def _conv_taps(x: np.ndarray, w: np.ndarray, b: Optional[np.ndarray], stride: int,
-               padding: int, ho: int, wo: int):
+def _conv_taps(x: np.ndarray, w: np.ndarray, stride: int, padding: int, ho: int, wo: int):
     """Depth-wise conv as a sum over its k*k taps, in the tensor's dtype.
     The backward pads ``x`` again rather than keep a padded copy on the tape."""
     n, c, h, wid = x.shape
@@ -662,8 +656,6 @@ def _conv_taps(x: np.ndarray, w: np.ndarray, b: Optional[np.ndarray], stride: in
     tmp = np.empty_like(acc)
     for t, at in enumerate(taps):
         acc += np.multiply(xp[at], wt[:, t], out=tmp)
-    if b is not None:
-        acc += b[None, :, None, None]
 
     def bw(g):
         xp, _ = _pad_and_taps(x, k, stride, padding, ho, wo)
@@ -690,8 +682,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     (``_conv_matmul``), a depth-wise stride-1 same-padded conv with k >= 5
     runs through an FFT, and any other depth-wise conv loops over its k*k
     taps. The kernels all compute in the tensor's dtype, so f64 stays
-    exact enough for gradcheck and f32 sums in f32.
-    """
+    exact enough for gradcheck and f32 sums in f32. The bias is added here,
+    once, onto the fresh array the kernel returns."""
     _check_same_dtype(x, weight, *([bias] if bias is not None else []))
     _, c_in, h, w = _nchw(x, "conv2d")
     if weight.ndim != 4 or weight.shape[-1] != weight.shape[-2]:
@@ -711,13 +703,14 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     ho = _conv_out_extent(h, k, stride, padding)
     wo = _conv_out_extent(w, k, stride, padding)
 
-    bd = None if bias is None else bias.data
     if groups == 1:
-        out_data, kernel_bw = _conv_matmul(x.data, weight.data, bd, stride, padding, ho, wo)
+        out_data, kernel_bw = _conv_matmul(x.data, weight.data, stride, padding, ho, wo)
     elif stride == 1 and k >= 5 and 2 * padding == k - 1:
-        out_data, kernel_bw = _conv_dw_fft(x.data, weight.data, bd, padding)
+        out_data, kernel_bw = _conv_dw_fft(x.data, weight.data, padding)
     else:
-        out_data, kernel_bw = _conv_taps(x.data, weight.data, bd, stride, padding, ho, wo)
+        out_data, kernel_bw = _conv_taps(x.data, weight.data, stride, padding, ho, wo)
+    if bias is not None:
+        out_data += bias.data[None, :, None, None]
     out = Tensor(out_data)
 
     def bw(g):

@@ -183,7 +183,7 @@ def test_criterion_5_attention_complexity_claim():
 
 def test_criterion_6_gradient_integrity():
     t0 = time.perf_counter()
-    result = gradient_check(seed=3, n_samples=50, size=16)
+    result = gradient_check(seed=3, n_samples=50)
     elapsed = time.perf_counter() - t0
     report(6, "gradient integrity (reduced config, f64)",
            result["max_rel_error"] < 1e-4 and elapsed < 300.0,

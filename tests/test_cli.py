@@ -272,6 +272,14 @@ class TestGradcheckCommand:
         assert "PASS" in out
         assert "max relative error" in out
 
+    @pytest.mark.parametrize("samples", ["0", "-2"])
+    def test_fewer_than_one_sample_rejected(self, capsys, samples):
+        code, out, err = run(capsys, "gradcheck", "--samples", samples)
+        assert code == 1
+        assert err.startswith("error:") and f"at least 1 sample, got {samples}" in err
+        assert len(err.strip().splitlines()) == 1
+        assert "sampled" not in out
+
 
 class TestThreadCap:
     @pytest.fixture(autouse=True)

@@ -16,6 +16,7 @@ from ctmar.model import (
     ConfigError,
     ConvFeedForward,
     Downsample,
+    MARNet,
     ModelConfig,
     STAGES,
     TransformerBlock,
@@ -99,28 +100,28 @@ class TestConfig:
 class TestLevelTransitions:
     def test_downsample_channel_law(self):
         rng = np.random.default_rng(0)
-        down = Downsample(rng, 48, 96)
+        down = Downsample(rng, 48, 96).astype("f32")
         out = down.forward(Tensor(rng.normal(size=(1, 48, 64, 64)).astype(np.float32)))
         assert out.shape == (1, 96, 32, 32)
 
     def test_downsample_fixed_width(self):
         rng = np.random.default_rng(0)
-        down = Downsample(rng, 48, 48)
+        down = Downsample(rng, 48, 48).astype("f32")
         out = down.forward(Tensor(rng.normal(size=(1, 48, 64, 64)).astype(np.float32)))
         assert out.shape == (1, 48, 32, 32)
 
     def test_up_down_shape_inverse(self):
         rng = np.random.default_rng(1)
         x = Tensor(rng.normal(size=(1, 16, 8, 8)).astype(np.float32))
-        down = Downsample(rng, 16, 32)
-        up = Upsample(rng, 32, 16)
+        down = Downsample(rng, 16, 32).astype("f32")
+        up = Upsample(rng, 32, 16).astype("f32")
         assert up.forward(down.forward(x)).shape == x.shape
 
 
 class TestChannelAttention:
     def test_projection_shapes(self):
         rng = np.random.default_rng(2)
-        attn = ChannelAttention(rng, 48, heads=1, spatial_ratio=2, channel_ratio=2)
+        attn = ChannelAttention(rng, 48, heads=1, spatial_ratio=2, channel_ratio=2).astype("f32")
         x = Tensor(rng.normal(size=(1, 48, 64, 64)).astype(np.float32))
         q, k, v = attn.project_qkv(x)
         assert q.shape == (1, 1, 48, 1024)
@@ -130,7 +131,7 @@ class TestChannelAttention:
 
     def test_attention_rows_sum_to_one(self):
         rng = np.random.default_rng(3)
-        attn = ChannelAttention(rng, 16, heads=2, spatial_ratio=2, channel_ratio=2)
+        attn = ChannelAttention(rng, 16, heads=2, spatial_ratio=2, channel_ratio=2).astype("f32")
         x = Tensor(rng.normal(size=(1, 16, 8, 8)).astype(np.float32))
         from ctmar.tensor import matmul, softmax, texp, transpose
         q, k, v = attn.project_qkv(x)
@@ -157,7 +158,7 @@ class TestChannelAttention:
         a looped softmax(X X^T) X evaluation on the flattened input."""
         rng = np.random.default_rng(4)
         c, h, w = 4, 4, 4
-        attn = ChannelAttention(rng, c, heads=1, spatial_ratio=1, channel_ratio=1)
+        attn = ChannelAttention(rng, c, heads=1, spatial_ratio=1, channel_ratio=1).astype("f32")
         self._identity_projections(attn, c)
         # cancel the 1/sqrt(S') factor so the score scale is exactly 1
         attn.temperature.data = np.full((1, 1, 1), -0.5 * math.log(h * w), dtype=np.float32)
@@ -182,7 +183,7 @@ class TestChannelAttention:
 class TestConvFeedForward:
     def test_zero_weights_zero_output(self):
         rng = np.random.default_rng(5)
-        ffn = ConvFeedForward(rng, 8, 2.0, 7)
+        ffn = ConvFeedForward(rng, 8, 2.0, 7).astype("f32")
         for conv in (ffn.conv_in, ffn.conv_dw, ffn.conv_out):
             conv.weight.data[:] = 0.0
         x = Tensor(rng.normal(size=(1, 8, 16, 16)).astype(np.float32))
@@ -190,14 +191,14 @@ class TestConvFeedForward:
 
     def test_shape_preserved(self):
         rng = np.random.default_rng(6)
-        ffn = ConvFeedForward(rng, 6, 2.0, 5)
+        ffn = ConvFeedForward(rng, 6, 2.0, 5).astype("f32")
         x = Tensor(rng.normal(size=(2, 6, 12, 20)).astype(np.float32))
         assert ffn.forward(x).shape == x.shape
 
     def test_scalar_trace_through_gelu(self):
         """Single pixel, 1x1 kernels: the whole module is a scalar formula."""
         rng = np.random.default_rng(7)
-        ffn = ConvFeedForward(rng, 1, 2.0, 1)
+        ffn = ConvFeedForward(rng, 1, 2.0, 1).astype("f32")
         a, b = 0.7, -1.1
         c, d = 1.3, 0.4
         e, f = -0.6, 2.0
@@ -217,7 +218,7 @@ class TestConvFeedForward:
 class TestTransformerBlock:
     def test_zero_weights_residual_identity(self):
         rng = np.random.default_rng(8)
-        block = TransformerBlock(rng, 8, 2, TINY)
+        block = TransformerBlock(rng, 8, 2, TINY).astype("f32")
         for _, t in block.named_params():
             if t.ndim == 4:  # conv weights only; norms keep gamma=1
                 t.data[:] = 0.0
@@ -226,7 +227,7 @@ class TestTransformerBlock:
 
     def test_deterministic_repeat(self):
         rng = np.random.default_rng(9)
-        block = TransformerBlock(rng, 8, 1, TINY)
+        block = TransformerBlock(rng, 8, 1, TINY).astype("f32")
         x = Tensor(rng.normal(size=(1, 8, 8, 8)).astype(np.float32))
         first = block.forward(x).data
         second = block.forward(x).data
@@ -241,6 +242,22 @@ class TestMARNet:
             x = rand_image(rng, 64, 64)
             out = model.forward(x)
             np.testing.assert_array_equal(out.data, x.data)
+
+    @pytest.mark.parametrize("name", ["T", "L"])
+    @pytest.mark.parametrize("seed", [0, 4242])
+    def test_f64_build_cast_to_f32_equals_f32_build(self, name, seed):
+        cast = build_model(preset(name), seed, "f64").astype("f32")
+        direct = build_model(preset(name), seed)
+        pairs = list(zip(cast.named_params(), direct.named_params(), strict=True))
+        for (name_a, a), (name_b, b) in pairs:
+            assert name_a == name_b and a.data.dtype == b.data.dtype == np.float32
+            np.testing.assert_array_equal(a.data, b.data)
+
+    def test_unseeded_model_holds_float64_zeros(self):
+        for name, t in MARNet(TINY, None).named_params():
+            assert t.data.dtype == np.float64, name
+            # norms start at gamma = 1; every other parameter at zero
+            np.testing.assert_array_equal(t.data, 1.0 if name.endswith("gamma") else 0.0)
 
     def test_shape_preserved_batched(self):
         model = build_model(TINY, seed=0)
@@ -402,6 +419,27 @@ class TestCheckpoint:
         after = loaded.forward(x).data
         np.testing.assert_array_equal(before, after)
         assert loaded.config == model.config
+
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    def test_load_returns_file_dtype(self, tmp_path, dtype):
+        model = build_model(TINY, seed=4, dtype=dtype)
+        path = tmp_path / "model.mckp"
+        save_checkpoint(model, path)
+        loaded = load_checkpoint(path)
+        for (_, a), (_, b) in zip(loaded.named_params(), model.named_params(), strict=True):
+            assert a.dtype_name == dtype
+            np.testing.assert_array_equal(a.data, b.data)
+
+    def test_mixed_dtypes_rejected_before_write(self, tmp_path):
+        path = tmp_path / "model.mckp"
+        model = build_model(TINY, seed=1)
+        save_checkpoint(model, path)
+        before = path.read_bytes()
+        model.outro.weight.data = model.outro.weight.data.astype(np.float64)
+        with pytest.raises(CheckpointError, match=r"mix dtypes \['f32', 'f64'\]"):
+            save_checkpoint(model, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.mckp"]
 
     def test_param_count_preserved(self, tmp_path):
         model = build_model(TINY, seed=1)

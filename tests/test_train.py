@@ -11,6 +11,8 @@ from ctmar.model import ModelConfig, build_model, preset, save_checkpoint
 from ctmar.simulate import make_dataset
 from ctmar.tensor import Tensor, finite_diff_grad, tmean
 from ctmar.train import (
+    ADAM_BETAS,
+    ADAM_EPS,
     Adam,
     TrainConfig,
     TrainingDiverged,
@@ -45,9 +47,9 @@ class TestAdam:
         np.testing.assert_array_equal(w.data, [2.5, -1.0])
 
     def test_three_step_trace_matches_reference(self):
-        beta1, beta2, eps, lr = 0.9, 0.99, 1e-8, 0.1
+        (beta1, beta2), eps, lr = ADAM_BETAS, ADAM_EPS, 0.1
         w = Tensor(np.array([1.0]), requires_grad=True)
-        opt = Adam([w], beta1, beta2, eps)
+        opt = Adam([w])
 
         # independent scalar trace of f(w) = w^2
         w_ref, m_ref, v_ref = 1.0, 0.0, 0.0
@@ -75,8 +77,6 @@ class TestTrainConfig:
     def test_rate_bounds_validated(self):
         with pytest.raises(ValueError):
             TrainConfig(lr_min=1e-3, lr_max=1e-3)
-        with pytest.raises(ValueError):
-            TrainConfig(beta1=1.0)
         with pytest.raises(ValueError):
             TrainConfig(batch_size=0)
 
@@ -244,6 +244,6 @@ class TestEvaluate:
 
 class TestGradientCheckHarness:
     def test_small_sample_run(self):
-        result = gradient_check(seed=1, n_samples=6, size=16)
+        result = gradient_check(seed=1, n_samples=6)
         assert result["n_samples"] == 6
         assert result["max_rel_error"] < 1e-4
