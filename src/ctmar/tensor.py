@@ -25,6 +25,7 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _recording = True                  # False inside no_grad(); read by Tensor._record
 _FFT_BLOCK = 1 << 17               # complex values per block of FFT-conv channels
 _GELU_BLOCK = 1 << 15              # elements per GELU block; its temporaries stay in cache
+LAYERNORM_EPS = 1e-6               # added to the channel variance before its square root
 # erf(z) ~ z P(z^2) / Q(z^2) on z clipped to [-4, 4], highest power first
 # (the coefficients of Eigen's float erf)
 _ERF_P = np.array([-2.72614225801306e-10, 2.77068142495902e-08, -2.10102402082508e-06,
@@ -405,14 +406,12 @@ def softmax(a: Tensor, axis: int) -> Tensor:
     return out._record((a,), bw)
 
 
-def layernorm_channels(a: Tensor, gamma: Tensor, eps: float = 1e-6) -> Tensor:
+def layernorm_channels(a: Tensor, gamma: Tensor) -> Tensor:
     """Standardize the channel vector at every spatial location, then scale.
 
     ``a`` is (N,C,H,W); ``gamma`` is per-channel (C,). There is no bias
-    term.
+    term; ``LAYERNORM_EPS`` is added to the variance.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
     _, c, _, _ = _nchw(a, "layernorm_channels")
     if gamma.shape != (c,):
         raise ShapeError(f"gamma shape {gamma.shape} does not match {c} channels")
@@ -423,7 +422,7 @@ def layernorm_channels(a: Tensor, gamma: Tensor, eps: float = 1e-6) -> Tensor:
     mu = x.mean(axis=1, keepdims=True)
     xc = x - mu
     var = (xc * xc).mean(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYERNORM_EPS)
     xhat = xc * inv
     y = xhat * scale
     out = Tensor(y.astype(x.dtype, copy=False))

@@ -243,16 +243,6 @@ class TestMARNet:
             out = model.forward(x)
             np.testing.assert_array_equal(out.data, x.data)
 
-    @pytest.mark.parametrize("name", ["T", "L"])
-    @pytest.mark.parametrize("seed", [0, 4242])
-    def test_f64_build_cast_to_f32_equals_f32_build(self, name, seed):
-        cast = build_model(preset(name), seed, "f64").astype("f32")
-        direct = build_model(preset(name), seed)
-        pairs = list(zip(cast.named_params(), direct.named_params(), strict=True))
-        for (name_a, a), (name_b, b) in pairs:
-            assert name_a == name_b and a.data.dtype == b.data.dtype == np.float32
-            np.testing.assert_array_equal(a.data, b.data)
-
     def test_unseeded_model_holds_float64_zeros(self):
         for name, t in MARNet(TINY, None).named_params():
             assert t.data.dtype == np.float64, name
@@ -410,25 +400,18 @@ class TestNoGradInference:
 class TestCheckpoint:
     def test_roundtrip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(13)
-        model = build_model(TINY, seed=7)
-        x = rand_image(rng)
-        before = model.forward(x).data
-        path = tmp_path / "model.mckp"
-        save_checkpoint(model, path)
-        loaded = load_checkpoint(path)
-        after = loaded.forward(x).data
-        np.testing.assert_array_equal(before, after)
-        assert loaded.config == model.config
-
-    @pytest.mark.parametrize("dtype", ["f32", "f64"])
-    def test_load_returns_file_dtype(self, tmp_path, dtype):
-        model = build_model(TINY, seed=4, dtype=dtype)
-        path = tmp_path / "model.mckp"
-        save_checkpoint(model, path)
-        loaded = load_checkpoint(path)
-        for (_, a), (_, b) in zip(loaded.named_params(), model.named_params(), strict=True):
-            assert a.dtype_name == dtype
-            np.testing.assert_array_equal(a.data, b.data)
+        for dtype in ("f32", "f64"):
+            model = build_model(TINY, seed=7, dtype=dtype)
+            x = rand_image(rng, dtype=model.outro.weight.data.dtype)
+            before = model.forward(x).data
+            path = tmp_path / f"model-{dtype}.mckp"
+            save_checkpoint(model, path)
+            loaded = load_checkpoint(path)
+            # the loaded model keeps the file's dtype
+            assert {t.dtype_name for t in loaded.params()} == {dtype}
+            after = loaded.forward(x).data
+            np.testing.assert_array_equal(before, after)
+            assert loaded.config == model.config
 
     def test_mixed_dtypes_rejected_before_write(self, tmp_path):
         path = tmp_path / "model.mckp"

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from ctmar import tensor as tensor_module
 from ctmar.tensor import (
+    LAYERNORM_EPS,
     GraphError,
     ShapeError,
     Tensor,
@@ -492,13 +493,12 @@ class TestLayernormChannels:
         rng = np.random.default_rng(6)
         x = rng.normal(size=(1, 3, 2, 2))
         gamma = rng.normal(size=3)
-        eps = 1e-6
         ref = np.empty_like(x)
         for i in range(2):
             for j in range(2):
                 v = x[0, :, i, j]
-                ref[0, :, i, j] = (v - v.mean()) / math.sqrt(v.var() + eps) * gamma
-        out = layernorm_channels(Tensor(x), Tensor(gamma), eps)
+                ref[0, :, i, j] = (v - v.mean()) / math.sqrt(v.var() + LAYERNORM_EPS) * gamma
+        out = layernorm_channels(Tensor(x), Tensor(gamma))
         np.testing.assert_allclose(out.data, ref, rtol=1e-12)
 
 
