@@ -18,6 +18,7 @@ import os
 import struct
 import zlib
 from dataclasses import dataclass
+from io import BytesIO
 from pathlib import Path
 from typing import Iterator, Optional, Tuple, Union
 
@@ -43,8 +44,8 @@ from .tensor import (
 
 _ALLOWED_RATIOS = (1, 2, 4, 8, 16)
 CKPT_MAGIC = b"MCKP"
-CKPT_VERSION = 2                   # v2 adds the payload's CRC32; v1 still loads
-_CKPT_KEYS = {1: {"config", "dtype", "manifest"}, 2: {"config", "crc32", "dtype", "manifest"}}
+CKPT_VERSION = 2                   # v2 adds the payload's CRC32; v1 has none, so it is refused
+_CKPT_KEYS = {"config", "crc32", "dtype", "manifest"}
 _ENTRY_TYPES = {"name": str, "offset": int, "shape": list, "dtype": str}
 _CRC_CHUNK = 1 << 20               # bytes per read while checking the payload CRC
 
@@ -423,21 +424,14 @@ def save_checkpoint(model: MARNet, path: Union[str, Path]) -> None:
     if len(dtypes) != 1:
         raise CheckpointError(f"{path}: parameters mix dtypes {dtypes}")
     entries = []
-    blobs = []
-    offset = 0
-    crc = 0
-    import io as _io
+    payload = BytesIO()
     for name, t in model.named_params():
-        buf = _io.BytesIO()
-        n = tio.write_tensor(buf, t.data)
-        entries.append({"name": name, "offset": offset,
+        entries.append({"name": name, "offset": payload.tell(),
                         "shape": list(t.shape), "dtype": t.dtype_name})
-        blobs.append(buf.getvalue())
-        crc = zlib.crc32(blobs[-1], crc)
-        offset += n
+        tio.write_tensor(payload, t.data)
     header = {
         "config": model.config.to_dict(),
-        "crc32": crc,
+        "crc32": zlib.crc32(payload.getbuffer()),
         "dtype": dtypes[0],
         "manifest": entries,
     }
@@ -447,22 +441,20 @@ def save_checkpoint(model: MARNet, path: Union[str, Path]) -> None:
         with open(tmp, "wb") as fh:
             fh.write(CKPT_MAGIC + struct.pack("<BI", CKPT_VERSION, len(header_bytes)))
             fh.write(header_bytes)
-            for blob in blobs:
-                fh.write(blob)
+            fh.write(payload.getbuffer())
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
 
 
-def _check_header(path, header, version: int) -> None:
-    """Raise CheckpointError unless ``header`` has exactly the version's keys,
-    a known dtype, an unsigned 32-bit CRC (v2) and a list of well-typed
-    manifest entries in that dtype."""
-    keys = _CKPT_KEYS[version]
-    if not isinstance(header, dict) or set(header) != keys:
+def _check_header(path, header) -> None:
+    """Raise CheckpointError unless ``header`` has exactly the version 2 keys,
+    a known dtype, an unsigned 32-bit CRC and a list of well-typed manifest
+    entries in that dtype."""
+    if not isinstance(header, dict) or set(header) != _CKPT_KEYS:
         raise CheckpointError(f"{path}: corrupt header (expected exactly the keys "
-                              f"{sorted(keys)})")
-    crc = header.get("crc32", 0)
+                              f"{sorted(_CKPT_KEYS)})")
+    crc = header["crc32"]
     if header["dtype"] not in ("f32", "f64") or type(crc) is not int \
             or not 0 <= crc < 1 << 32 or not isinstance(header["manifest"], list):
         raise CheckpointError(f"{path}: corrupt header (bad dtype, crc32 or manifest)")
@@ -474,20 +466,19 @@ def _check_header(path, header, version: int) -> None:
             raise CheckpointError(f"{path}: corrupt manifest entry {str(entry)[:80]}")
 
 
-def load_checkpoint(path: Union[str, Path],
-                    expect_config: Optional[ModelConfig] = None) -> MARNet:
-    """Rebuild a model from a version 1 or 2 checkpoint in its dtype, bit-exactly.
+def load_checkpoint(path: Union[str, Path]) -> MARNet:
+    """Rebuild a model from a version 2 checkpoint in its dtype, bit-exactly.
 
-    If ``expect_config`` is given it must equal the embedded config. A
-    version 2 payload must match its CRC32, checked in one streaming pass
-    before any tensor is read. Every defect raises CheckpointError.
+    The payload must match its CRC32, checked in one streaming pass before
+    any tensor is read, and each tensor must be in the header's dtype.
+    Every defect, a version 1 file (no CRC) too, raises CheckpointError.
     """
     with open(path, "rb") as fh:
         head = fh.read(9)
         if len(head) != 9 or head[:4] != CKPT_MAGIC:
             raise CheckpointError(f"{path}: not a checkpoint file")
         version, header_len = struct.unpack("<BI", head[4:])
-        if version not in _CKPT_KEYS:
+        if version != CKPT_VERSION:
             raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
         if header_len > os.fstat(fh.fileno()).st_size - 9:
             raise CheckpointError(f"{path}: truncated header")
@@ -495,21 +486,17 @@ def load_checkpoint(path: Union[str, Path],
             header = json.loads(fh.read(header_len).decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise CheckpointError(f"{path}: corrupt header ({exc})") from exc
-        _check_header(path, header, version)
-        if version >= 2:
-            crc = 0
-            while chunk := fh.read(_CRC_CHUNK):
-                crc = zlib.crc32(chunk, crc)
-            if crc != header["crc32"]:
-                raise CheckpointError(f"{path}: payload CRC32 {crc:08x} does not match "
-                                      f"the header's {header['crc32']:08x}")
+        _check_header(path, header)
+        crc = 0
+        while chunk := fh.read(_CRC_CHUNK):
+            crc = zlib.crc32(chunk, crc)
+        if crc != header["crc32"]:
+            raise CheckpointError(f"{path}: payload CRC32 {crc:08x} does not match "
+                                  f"the header's {header['crc32']:08x}")
         try:
             config = ModelConfig.from_dict(header["config"])
         except ConfigError as exc:
             raise CheckpointError(f"{path}: bad embedded config ({exc})") from exc
-        if expect_config is not None and config != expect_config:
-            raise CheckpointError(f"{path}: checkpoint config does not match the "
-                                  f"requested config")
         model = MARNet(config, None)
         params = dict(model.named_params())
         names_found = set()
@@ -525,7 +512,9 @@ def load_checkpoint(path: Union[str, Path],
                 raise CheckpointError(f"{path}: corrupt tensor {name!r} ({exc})") from exc
             if list(arr.shape) != entry["shape"] or tuple(arr.shape) != params[name].shape:
                 raise CheckpointError(f"{path}: shape mismatch for {name!r}")
-            params[name].data = np.ascontiguousarray(arr, dtype=_as_dtype(header["dtype"]))
+            if arr.dtype != _as_dtype(header["dtype"]):     # the CRC does not cover the header
+                raise CheckpointError(f"{path}: {name!r} is {arr.dtype}, not {header['dtype']}")
+            params[name].data = arr
             names_found.add(name)
         missing = set(params) - names_found
         if missing:

@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import List, Optional, Tuple, Union
+from typing import List, Tuple, Union
 
 import numpy as np
 from scipy.ndimage import gaussian_filter
@@ -27,6 +27,7 @@ HU_MAX = 2800.0
 METAL_HU = 30000.0         # metal's pre-clip insertion value
 METAL_PIXELS = (10, 200)   # least and most implant pixels in a metal-artifact slice
 FIELD_MM = 160.0           # physical field of view represented by a slice
+BEAM_HARDENING = 0.3       # strength of the s + b s^2 / (1 + s) distortion on metal rays
 _SAMPLE_BLOCK = 1 << 13    # samples per bilinear block; its temporaries stay in cache
 
 
@@ -54,14 +55,10 @@ class Sinogram:
 @dataclass
 class SimParams:
     n_angles: int = 180
-    n_detectors: Optional[int] = None    # default: image diagonal
-    beam_hardening: float = 0.3
 
     def __post_init__(self):
         if self.n_angles < 8:
             raise ValueError("n_angles must be at least 8")
-        if self.beam_hardening < 0:
-            raise ValueError("beam_hardening must be non-negative")
 
 
 def hu_to_mu(image: PhantomImage) -> np.ndarray:
@@ -160,7 +157,7 @@ def radon_forward(mu: np.ndarray, params: SimParams, spacing: float = 1.0) -> Si
     if not np.isfinite(mu).all():
         raise ValueError("radon_forward needs a finite image; it holds inf or NaN")
     size = mu.shape[0]
-    n_det = params.n_detectors or _default_detectors(size)
+    n_det = _default_detectors(size)
     center = (size - 1) / 2.0
     det = np.arange(n_det) - (n_det - 1) / 2.0
     step = 0.5
@@ -275,11 +272,11 @@ def simulate_ma_pair(clean: PhantomImage, metal_mask: np.ndarray,
         mu[mask] = MU_WATER * (1.0 + METAL_HU / 1000.0)
     sino = radon_forward(mu, params, clean.spacing)
 
-    if n_metal and params.beam_hardening > 0:
+    if n_metal:
         metal_trace = radon_forward(mask.astype(np.float64), params, clean.spacing)
         hits = metal_trace.values > 1e-9
         s = sino.values
-        s[hits] = s[hits] + params.beam_hardening * s[hits] ** 2 / (1.0 + s[hits])
+        s[hits] = s[hits] + BEAM_HARDENING * s[hits] ** 2 / (1.0 + s[hits])
 
     recon = fbp_reconstruct(sino, *clean.pixels.shape)
     ma_hu = np.clip(mu_to_hu(recon), HU_MIN, HU_MAX)

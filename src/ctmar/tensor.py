@@ -43,37 +43,27 @@ class GraphError(RuntimeError):
     """Raised when a backward tape is misused (non-scalar root, reuse)."""
 
 
-def _as_dtype(dtype) -> np.dtype:
-    if dtype is None:
-        return np.dtype(np.float32)
-    if isinstance(dtype, str):
-        if dtype not in DTYPES:
-            raise ValueError(f"unsupported dtype {dtype!r}; expected 'f32' or 'f64'")
-        return np.dtype(DTYPES[dtype])
-    dt = np.dtype(dtype)
-    if dt not in (np.dtype(np.float32), np.dtype(np.float64)):
-        raise ValueError(f"unsupported dtype {dt}; expected float32 or float64")
-    return dt
+def _as_dtype(name: str) -> np.dtype:
+    if name not in DTYPES:
+        raise ValueError(f"unsupported dtype {name!r}; expected 'f32' or 'f64'")
+    return np.dtype(DTYPES[name])
 
 
 class Tensor:
     """A dense real array with an optional gradient buffer.
 
-    ``data`` is always a C-contiguous float32 or float64 ndarray. When
-    ``requires_grad`` is set (directly, or inherited from any input of
-    an op) and the op runs outside ``no_grad()``, the op records itself
-    on the result so that ``backward()`` can later fill ``grad`` on
-    every reachable leaf.
+    ``data`` is always a C-contiguous float32 or float64 ndarray; any
+    other input dtype becomes float64. When ``requires_grad`` is set
+    (directly, or inherited from any input of an op) and the op runs
+    outside ``no_grad()``, the op records itself on the result so that
+    ``backward()`` can later fill ``grad`` on every reachable leaf.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn", "_consumed")
 
-    def __init__(self, data, dtype=None, requires_grad: bool = False):
+    def __init__(self, data, *, requires_grad: bool = False):
         arr = np.asarray(data)
-        if dtype is None:
-            dt = arr.dtype if arr.dtype in (np.float32, np.float64) else np.dtype(np.float64)
-        else:
-            dt = _as_dtype(dtype)
+        dt = arr.dtype if arr.dtype in (np.float32, np.float64) else np.dtype(np.float64)
         self.data = np.ascontiguousarray(arr, dtype=dt)
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = bool(requires_grad)
@@ -365,9 +355,7 @@ def reshape(a: Tensor, shape: tuple) -> Tensor:
     return out._record((a,), lambda g: (g.reshape(a.shape),))
 
 
-def transpose(a: Tensor, axes=None) -> Tensor:
-    if axes is None:
-        axes = tuple(reversed(range(a.ndim)))
+def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
     axes = tuple(axes)
     inv = tuple(np.argsort(axes))
     out = Tensor(np.ascontiguousarray(a.data.transpose(axes)))
@@ -466,40 +454,40 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 # -- pixel shuffle ------------------------------------------------------------
 
 
+def _unshuffle(x: np.ndarray, r: int) -> np.ndarray:
+    """(N,C,H,W) -> (N,C*r*r,H/r,W/r) as a C-contiguous array."""
+    n, c, h, w = x.shape
+    y = x.reshape(n, c, h // r, r, w // r, r).transpose(0, 1, 3, 5, 2, 4)
+    return np.ascontiguousarray(y.reshape(n, c * r * r, h // r, w // r))
+
+
+def _shuffle(x: np.ndarray, r: int) -> np.ndarray:
+    """(N,C,H,W) -> (N,C/r^2,H*r,W*r) as a C-contiguous array; undoes ``_unshuffle``."""
+    n, c, h, w = x.shape
+    y = x.reshape(n, c // (r * r), r, r, h, w).transpose(0, 1, 4, 2, 5, 3)
+    return np.ascontiguousarray(y.reshape(n, c // (r * r), h * r, w * r))
+
+
 def pixel_unshuffle(a: Tensor, r: int) -> Tensor:
     """(N,C,H,W) -> (N,C*r*r,H/r,W/r); block (dy,dx) lands at channel c*r*r + dy*r + dx."""
     if r < 1:
         raise ValueError("r must be >= 1")
-    n, c, h, w = _nchw(a, "pixel_unshuffle")
+    _, _, h, w = _nchw(a, "pixel_unshuffle")
     if h % r or w % r:
         raise ShapeError(f"spatial extents {h}x{w} not divisible by r={r}")
-    x = a.data.reshape(n, c, h // r, r, w // r, r)
-    y = x.transpose(0, 1, 3, 5, 2, 4).reshape(n, c * r * r, h // r, w // r)
-    out = Tensor(np.ascontiguousarray(y))
-
-    def bw(g):
-        gg = g.reshape(n, c, r, r, h // r, w // r)
-        return (np.ascontiguousarray(gg.transpose(0, 1, 4, 2, 5, 3).reshape(a.shape)),)
-
-    return out._record((a,), bw)
+    out = Tensor(_unshuffle(a.data, r))
+    return out._record((a,), lambda g: (_shuffle(g, r),))
 
 
 def pixel_shuffle(a: Tensor, r: int) -> Tensor:
     """(N,C,H,W) -> (N,C/r^2,H*r,W*r); exact inverse of pixel_unshuffle."""
     if r < 1:
         raise ValueError("r must be >= 1")
-    n, c, h, w = _nchw(a, "pixel_shuffle")
+    _, c, _, _ = _nchw(a, "pixel_shuffle")
     if c % (r * r):
         raise ShapeError(f"channel extent {c} not divisible by r^2={r * r}")
-    x = a.data.reshape(n, c // (r * r), r, r, h, w)
-    y = x.transpose(0, 1, 4, 2, 5, 3).reshape(n, c // (r * r), h * r, w * r)
-    out = Tensor(np.ascontiguousarray(y))
-
-    def bw(g):
-        gg = g.reshape(n, c // (r * r), h, r, w, r)
-        return (np.ascontiguousarray(gg.transpose(0, 1, 3, 5, 2, 4).reshape(a.shape)),)
-
-    return out._record((a,), bw)
+    out = Tensor(_shuffle(a.data, r))
+    return out._record((a,), lambda g: (_unshuffle(g, r),))
 
 
 # -- convolution ----------------------------------------------------------------

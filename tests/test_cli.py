@@ -102,19 +102,23 @@ class TestInfer:
         assert "error:" in err
 
     def test_corrupt_checkpoint_header_errors(self, tmp_path, capsys):
-        """One bit turns the header's "manifest" into "mcnifest"."""
+        """One bit turns the header's "manifest" into "mcnifest"; or the
+        version byte says 1, a layout without a payload CRC."""
         ckpt = tmp_path / "t.mckp"
         save_checkpoint(build_model(preset("T"), seed=1), ckpt)
-        raw = bytearray(ckpt.read_bytes())
-        raw[raw.index(b'"manifest"') + 2] ^= 0x02
-        ckpt.write_bytes(bytes(raw))
+        good = ckpt.read_bytes()
+        flipped = bytearray(good)
+        flipped[flipped.index(b'"manifest"') + 2] ^= 0x02
         src = tmp_path / "in.mtsr"
         tio.save_tensor(src, np.zeros((32, 32), dtype=np.float32))
-        code, _, err = run(capsys, "infer", "--ckpt", str(ckpt), "--input", str(src),
-                           "--output", str(tmp_path / "out.mtsr"))
-        assert code == 1
-        assert err.startswith("error:") and "corrupt header" in err
-        assert len(err.strip().splitlines()) == 1
+        for raw, expected in [(bytes(flipped), "corrupt header"),
+                              (good[:4] + b"\x01" + good[5:], "unsupported checkpoint version 1")]:
+            ckpt.write_bytes(raw)
+            code, _, err = run(capsys, "infer", "--ckpt", str(ckpt), "--input", str(src),
+                               "--output", str(tmp_path / "out.mtsr"))
+            assert code == 1
+            assert err.startswith("error:") and expected in err
+            assert len(err.strip().splitlines()) == 1
 
     def test_non_finite_input_rejected(self, tmp_path, capsys):
         ckpt = tmp_path / "t.mckp"

@@ -430,19 +430,6 @@ class TestCheckpoint:
         save_checkpoint(model, path)
         assert count_params(load_checkpoint(path)) == count_params(model)
 
-    def test_config_mismatch_rejected(self, tmp_path):
-        model = build_model(TINY, seed=1)
-        path = tmp_path / "model.mckp"
-        save_checkpoint(model, path)
-        with pytest.raises(CheckpointError):
-            load_checkpoint(path, expect_config=preset("T"))
-
-    def test_list_built_expect_config_accepted(self, tmp_path):
-        path = tmp_path / "large.mckp"
-        save_checkpoint(build_model(preset("L"), seed=2), path)
-        listed = ModelConfig(num_blocks=[1, 2, 4, 8], num_heads=[1, 2, 4, 8])
-        assert load_checkpoint(path, expect_config=listed).config == preset("L")
-
     def test_corrupt_file_rejected(self, tmp_path):
         path = tmp_path / "bad.mckp"
         path.write_bytes(b"not a checkpoint at all")
@@ -512,18 +499,31 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="CRC32"):
             load_checkpoint(path)
 
-    def test_version_1_still_loads(self, tmp_path):
-        rng = np.random.default_rng(5)
-        model = build_model(TINY, seed=3)
+    def test_version_1_refused(self, tmp_path):
+        """A version 1 file has no payload CRC, so it cannot be verified:
+        it is refused, with or without a crc32 key in its header."""
         path = tmp_path / "model.mckp"
-        save_checkpoint(model, path)
+        save_checkpoint(build_model(TINY, seed=3), path)
         self.rewrite_header(path, lambda h: h.pop("crc32"), version=1)
-        x = rand_image(rng)
-        np.testing.assert_array_equal(load_checkpoint(path).forward(x).data,
-                                      model.forward(x).data)
-        # a version 1 header has no CRC field
+        with pytest.raises(CheckpointError, match="unsupported checkpoint version 1"):
+            load_checkpoint(path)
         self.rewrite_header(path, lambda h: h.update(crc32=0))
-        with pytest.raises(CheckpointError):
+        with pytest.raises(CheckpointError, match="unsupported checkpoint version 1"):
+            load_checkpoint(path)
+
+    def test_record_dtype_must_match_header(self, tmp_path):
+        """The header is outside the CRC: relabelling an f64 payload as f32
+        keeps the CRC valid, and the load is refused, not cast."""
+        path = tmp_path / "model.mckp"
+        save_checkpoint(build_model(TINY, seed=1, dtype="f64"), path)
+
+        def relabel(header):
+            header["dtype"] = "f32"
+            for entry in header["manifest"]:
+                entry["dtype"] = "f32"
+
+        self.rewrite_header(path, relabel)
+        with pytest.raises(CheckpointError, match="float64, not f32"):
             load_checkpoint(path)
 
     @settings(max_examples=120, deadline=None, derandomize=True,

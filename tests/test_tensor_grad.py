@@ -103,7 +103,7 @@ def test_reshape_transpose_concat(rng):
     b = rng.normal(size=(2, 6))
 
     def loss(x, y):
-        joined = concat([reshape(x, (3, 4)), transpose(reshape(y, (4, 3)))], axis=0)
+        joined = concat([reshape(x, (3, 4)), transpose(reshape(y, (4, 3)), (1, 0))], axis=0)
         return tmean(joined * joined)
 
     check_grad(loss, a, b)

@@ -401,7 +401,7 @@ class TestGelu:
         for dt in (np.float32, np.float64):
             xt = Tensor(x.astype(dt), requires_grad=True)
             out = gelu(xt)
-            tmean(mul(transpose(out), Tensor(g.astype(dt)))).backward()
+            tmean(mul(transpose(out, (1, 0)), Tensor(g.astype(dt)))).backward()
             # undo tmean's 1/n, so the bound applies to g * GELU'(x)
             results.append((out.data.astype(np.float64), xt.grad.astype(np.float64) * x.size))
         bound = 1e-6 * np.maximum(1.0, np.abs(x.astype(np.float64)))
@@ -675,3 +675,15 @@ class TestReductionsAndInvariants:
         ]
         for o in outs:
             assert np.all(np.isfinite(o))
+
+
+class TestTensorInit:
+    def test_requires_grad_is_keyword_only(self):
+        """A second positional argument is refused rather than read as the
+        flag, so no stale positional dtype string can switch on recording.
+        A float32 or float64 input keeps its dtype; any other becomes float64."""
+        with pytest.raises(TypeError):
+            Tensor(np.zeros(3), "f64")
+        t = Tensor(np.zeros(3, dtype=np.float32), requires_grad=True)
+        assert t.requires_grad and t.data.dtype == np.float32
+        assert Tensor(np.arange(3)).data.dtype == np.float64
