@@ -3,10 +3,27 @@
 The operator set is deliberately small: exactly what a convolutional
 channel-attention U-Net needs, plus a finite-difference oracle to check
 the analytic gradients against. Every op is numpy-backed and
-deterministic; the recorded tape (parent links plus a backward closure
-on each result tensor) is consumed by a single ``backward()`` call.
-Inside a ``no_grad()`` scope ops record nothing, so inference keeps no
-tape and each op's saved temporaries are freed when it returns.
+deterministic.
+
+The tape is kept apart from the data. A recorded result holds a small
+``_Node``: its backward closure and its parents' nodes, with a leaf
+parameter referenced directly. A node holds no array, so a result the
+program drops is freed unless some backward closure captured it, and
+each closure captures only what it reads:
+
+- ``add``, ``sub``, ``neg``, ``reshape``, ``transpose``, ``concat``,
+  ``tmean`` and the pixel shuffles keep shapes, axes and dtypes only;
+- ``mul`` and ``matmul`` keep both operands, ``tabs`` its input, and
+  ``texp`` and ``softmax`` their outputs;
+- ``gelu`` keeps its derivative ``Phi(x) + x phi(x)``;
+- ``layernorm_channels`` keeps ``xhat``, the inverse deviations and gamma;
+- ``conv2d`` keeps its input (as im2col columns where it stacks them)
+  and its weight, never a padded copy or a spectrum.
+
+A single ``backward()`` consumes the nodes it walks; a later backward
+that reaches one raises GraphError. Inside a ``no_grad()`` scope ops
+record nothing, so inference keeps no tape and each op's saved
+temporaries are freed when it returns.
 """
 
 from __future__ import annotations
@@ -49,17 +66,36 @@ def _as_dtype(name: str) -> np.dtype:
     return np.dtype(DTYPES[name])
 
 
+class _Node:
+    """One recorded op on the tape: its backward closure and its parents.
+
+    ``parents`` holds, per operand, the operand's node, the operand itself
+    if it is a leaf with ``requires_grad``, or None if no gradient flows
+    to it. ``backward()`` sets both fields to None once it has run the
+    closure, which marks the node consumed.
+    """
+
+    __slots__ = ("backward_fn", "parents")
+
+    def __init__(self, backward_fn: Callable, parents: tuple):
+        self.backward_fn: Optional[Callable] = backward_fn
+        self.parents: Optional[tuple] = parents
+
+
 class Tensor:
     """A dense real array with an optional gradient buffer.
 
     ``data`` is always a C-contiguous float32 or float64 ndarray; any
     other input dtype becomes float64. When ``requires_grad`` is set
     (directly, or inherited from any input of an op) and the op runs
-    outside ``no_grad()``, the op records itself on the result so that
-    ``backward()`` can later fill ``grad`` on every reachable leaf.
+    outside ``no_grad()``, the result gets a ``_Node`` so that
+    ``backward()`` can later fill ``grad`` on every reachable leaf. The
+    node does not point back at the result, so the tape keeps a result's
+    array alive only where a backward closure captured it.
+    ``_backward_fn`` reads and replaces the node's closure.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn", "_consumed")
+    __slots__ = ("data", "grad", "requires_grad", "_node")
 
     def __init__(self, data, *, requires_grad: bool = False):
         arr = np.asarray(data)
@@ -67,9 +103,7 @@ class Tensor:
         self.data = np.ascontiguousarray(arr, dtype=dt)
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = bool(requires_grad)
-        self._parents: tuple = ()
-        self._backward_fn: Optional[Callable] = None
-        self._consumed = False
+        self._node: Optional[_Node] = None
 
     # -- basic introspection -------------------------------------------------
 
@@ -100,30 +134,42 @@ class Tensor:
 
     # -- autodiff engine -----------------------------------------------------
 
+    @property
+    def _backward_fn(self) -> Optional[Callable]:
+        return None if self._node is None else self._node.backward_fn
+
+    @_backward_fn.setter
+    def _backward_fn(self, fn: Callable) -> None:
+        self._node.backward_fn = fn
+
     def _record(self, parents: Sequence["Tensor"], backward_fn: Callable) -> "Tensor":
         if _recording and any(p.requires_grad for p in parents):
             self.requires_grad = True
-            self._parents = tuple(parents)
-            self._backward_fn = backward_fn
+            self._node = _Node(backward_fn, tuple(
+                p._node if p._node is not None else (p if p.requires_grad else None)
+                for p in parents))
         return self
 
     def backward(self) -> None:
         """Backpropagate from this scalar through the recorded tape.
 
-        Gradients accumulate additively into ``grad`` on every tensor
-        with ``requires_grad``. The tape rooted here is released
-        afterwards; a second call is an error.
+        Gradients accumulate additively into ``grad`` on every leaf with
+        ``requires_grad``. Every node walked is consumed and its saved
+        arrays released; a later backward that reaches a consumed node,
+        from this root or any other, raises GraphError before any
+        gradient changes.
         """
         if self.data.size != 1:
             raise GraphError(f"backward() requires a scalar loss, got shape {self.shape}")
-        if self._consumed:
-            raise GraphError("backward() called twice on the same graph")
         if not self.requires_grad:
             raise GraphError("loss does not depend on any tensor with requires_grad")
+        if self._node is None:
+            self.grad = np.ones_like(self.data) if self.grad is None else self.grad + 1
+            return
 
-        topo: list[Tensor] = []
+        topo: list[_Node] = []
         seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack: list[tuple[_Node, bool]] = [(self._node, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
@@ -131,34 +177,25 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
+            if node.parents is None:
+                raise GraphError("backward() through a graph that an earlier backward() "
+                                 "consumed")
             seen.add(id(node))
             stack.append((node, True))
-            for p in node._parents:
-                if p._backward_fn is not None and id(p) not in seen:
+            for p in node.parents:
+                if isinstance(p, _Node) and id(p) not in seen:
                     stack.append((p, False))
 
-        grads: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
+        grads: dict[int, np.ndarray] = {id(self._node): np.ones_like(self.data)}
         for node in reversed(topo):
-            g = grads.pop(id(node), None)
-            if g is None:
-                continue
-            if node._backward_fn is None:
-                # leaf: accumulate into the tensor's gradient buffer
-                if node.requires_grad:
-                    node.grad = g if node.grad is None else node.grad + g
-                continue
-            parent_grads = node._backward_fn(g)
-            for parent, pg in zip(node._parents, parent_grads):
-                if pg is None or not parent.requires_grad:
-                    continue
-                if parent._backward_fn is None:
+            parent_grads = node.backward_fn(grads.pop(id(node)))
+            for parent, pg in zip(node.parents, parent_grads):
+                if isinstance(parent, Tensor):
                     parent.grad = pg if parent.grad is None else parent.grad + pg
-                else:
+                elif parent is not None:
                     prev = grads.get(id(parent))
                     grads[id(parent)] = pg if prev is None else prev + pg
-            node._backward_fn = None
-            node._parents = ()
-        self._consumed = True
+            node.backward_fn = node.parents = None
 
     # -- operator sugar --------------------------------------------------------
 
@@ -234,9 +271,10 @@ def _nchw(a: Tensor, op: str) -> tuple:
 def add(a: Tensor, b: Tensor) -> Tensor:
     _check_same_dtype(a, b)
     out = Tensor(a.data + b.data)
+    sa, sb = a.shape, b.shape
 
     def bw(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return _unbroadcast(g, sa), _unbroadcast(g, sb)
 
     return out._record((a, b), bw)
 
@@ -244,19 +282,21 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _check_same_dtype(a, b)
     out = Tensor(a.data - b.data)
+    sa, sb = a.shape, b.shape
 
     def bw(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
+        return _unbroadcast(g, sa), _unbroadcast(-g, sb)
 
     return out._record((a, b), bw)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_same_dtype(a, b)
-    out = Tensor(a.data * b.data)
+    x, y = a.data, b.data
+    out = Tensor(x * y)
 
     def bw(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
+        return _unbroadcast(g * y, x.shape), _unbroadcast(g * x, y.shape)
 
     return out._record((a, b), bw)
 
@@ -267,20 +307,20 @@ def neg(a: Tensor) -> Tensor:
 
 
 def texp(a: Tensor) -> Tensor:
-    out = Tensor(np.exp(a.data))
-    return out._record((a,), lambda g: (g * out.data,))
+    y = np.exp(a.data)
+    return Tensor(y)._record((a,), lambda g: (g * y,))
 
 
 def tabs(a: Tensor) -> Tensor:
     """Elementwise absolute value; subgradient uses sign(0) = 0."""
-    out = Tensor(np.abs(a.data))
-    return out._record((a,), lambda g: (g * np.sign(a.data),))
+    x = a.data
+    return Tensor(np.abs(x))._record((a,), lambda g: (g * np.sign(x),))
 
 
 def tmean(a: Tensor) -> Tensor:
-    n = a.data.size
-    out = Tensor(np.asarray(a.data.mean(), dtype=a.data.dtype))
-    return out._record((a,), lambda g: ((np.broadcast_to(g, a.shape) / n).astype(a.data.dtype),))
+    n, shape, dt = a.data.size, a.shape, a.data.dtype
+    out = Tensor(np.asarray(a.data.mean(), dtype=dt))
+    return out._record((a,), lambda g: ((np.broadcast_to(g, shape) / n).astype(dt),))
 
 
 def _horner(coeffs: np.ndarray, z2: np.ndarray) -> np.ndarray:
@@ -312,47 +352,41 @@ def gelu(a: Tensor) -> Tensor:
     f64 tensors take scipy's erf. f32 tensors take ``_erf_f32``, whose
     error of at most 4.5e-7 bounds Phi's by 2.3e-7, so the f32 output is
     within about 2.3e-7 |x| of the exact GELU before rounding. Both run
-    over flat blocks of ``_GELU_BLOCK`` elements, as does the backward,
-    g * (Phi(x) + x phi(x)). Only the backward reads Phi(x) again, so
-    Phi fills a full-size buffer only when the op is recorded; otherwise
-    every block reuses one block-sized workspace.
+    over flat blocks of ``_GELU_BLOCK`` elements that reuse one
+    block-sized workspace for Phi. A recorded call also fills, block by
+    block, the derivative x phi(x) + Phi(x), and its backward is
+    g times that; it keeps neither x nor Phi(x).
     """
     x = a.data.reshape(-1)
     erf_block = _erf_f32 if x.dtype == np.float32 else (lambda z: erf(z, out=z))
-    blocks = [slice(i, min(i + _GELU_BLOCK, x.size)) for i in range(0, x.size, _GELU_BLOCK)]
     recorded = _recording and a.requires_grad
-    cdf = np.empty(x.size if recorded else min(x.size, _GELU_BLOCK), dtype=x.dtype)
+    cdf = np.empty(min(x.size, _GELU_BLOCK), dtype=x.dtype)
     y = np.empty_like(x)
-    for blk in blocks:
-        ws = cdf[blk] if recorded else cdf[:blk.stop - blk.start]
-        c = erf_block(np.multiply(x[blk], _INV_SQRT2, out=ws))
+    dy = np.empty_like(x) if recorded else None
+    for i in range(0, x.size, _GELU_BLOCK):
+        blk = slice(i, min(i + _GELU_BLOCK, x.size))
+        c = erf_block(np.multiply(x[blk], _INV_SQRT2, out=cdf[:blk.stop - i]))
         c += 1.0
         c *= 0.5
         np.multiply(x[blk], c, out=y[blk])
-    out = Tensor(y.reshape(a.shape))
-
-    def bw(g):
-        g = g.reshape(-1)
-        gx = np.empty_like(x)
-        for blk in blocks:
-            t = np.multiply(x[blk], x[blk], out=gx[blk])
+        if recorded:
+            t = np.multiply(x[blk], x[blk], out=dy[blk])
             t *= -0.5
             np.exp(t, out=t)
             t *= _INV_SQRT_2PI
             t *= x[blk]
-            t += cdf[blk]
-            t *= g[blk]
-        return (gx.reshape(a.shape),)
-
-    return out._record((a,), bw)
+            t += c
+    out = Tensor(y.reshape(a.shape))
+    return out._record((a,), lambda g: (g * dy.reshape(g.shape),))
 
 
 # -- shape ops ----------------------------------------------------------------
 
 
 def reshape(a: Tensor, shape: tuple) -> Tensor:
+    before = a.shape
     out = Tensor(a.data.reshape(shape))
-    return out._record((a,), lambda g: (g.reshape(a.shape),))
+    return out._record((a,), lambda g: (g.reshape(before),))
 
 
 def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
@@ -441,12 +475,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     for da, db in zip(reversed(a.shape[:-2]), reversed(b.shape[:-2])):
         if da != db:
             raise ShapeError(f"matmul batch extents differ: {a.shape} @ {b.shape}")
-    out = Tensor(np.matmul(a.data, b.data))
+    x, y = a.data, b.data
+    out = Tensor(np.matmul(x, y))
 
     def bw(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
+        ga = np.matmul(g, np.swapaxes(y, -1, -2))
+        gb = np.matmul(np.swapaxes(x, -1, -2), g)
+        return _unbroadcast(ga, x.shape), _unbroadcast(gb, y.shape)
 
     return out._record((a, b), bw)
 

@@ -1,8 +1,6 @@
 """Architecture tests: presets, shapes, identity-at-init, checkpoints, gradients."""
 
-import gc
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -233,6 +231,34 @@ class TestTransformerBlock:
         second = block.forward(x).data
         np.testing.assert_array_equal(first, second)
 
+    def test_tape_holds_only_what_its_backwards_read(self, traced_memory):
+        """One recorded block of criterion 8's model at its level-1 shape,
+        (2, 16, 64, 64) f32, reduced to its mean, so that only the tape
+        keeps arrays alive. It may hold:
+        - per norm, ``xhat``, the output the next convs read and the
+          one-channel inverse deviations;
+        - the attention's projections: the strided depth-wise q and k maps
+          their 1x1 convs read, q, the v projection the depth-wise v conv
+          reads and v; also the transposed keys and the mixed map
+          ``out_proj`` reads;
+        - per GELU, its derivative and its output, which the next conv reads.
+        64 KiB covers the Python objects and the channel-by-channel arrays
+        (scores, softmax, temperature)."""
+        config = ModelConfig(base_channels=16, num_heads=(1, 1, 1, 1))
+        n, c, size = 2, 16, 64
+        rng = np.random.default_rng(19)
+        block = TransformerBlock(rng, c, 1, config).astype("f32")
+        x = Tensor(rng.normal(size=(n, c, size, size)).astype(np.float32))
+        plane = n * size * size * np.dtype(np.float32).itemsize
+        coarse = plane // config.spatial_ratio ** 2
+        hidden, reduced = block.ffn.conv_in.weight.shape[0], block.attn.reduced
+        norms = 2 * (2 * c + 1) * plane
+        attention = (3 * c + reduced) * coarse + (2 * reduced + c) * plane
+        ffn = 2 * 2 * hidden * plane
+        bound = norms + attention + ffn + 64 * 1024
+        _, retained, _ = traced_memory(lambda: tmean(block.forward(x)))
+        assert retained <= bound, (retained, bound)
+
 
 class TestMARNet:
     def test_identity_at_init_all_presets(self):
@@ -344,24 +370,14 @@ class TestNoGradInference:
             assert t.grad is sentinels[name]
             np.testing.assert_array_equal(t.grad, 7.0)
 
-    def test_restore_slice_peak_memory_below_half_of_recording(self):
+    def test_restore_slice_peak_memory_below_half_of_recording(self, traced_memory):
         model = t_with_drawn_head(6)
         hu = np.random.default_rng(17).uniform(-1000, 2800, size=(64, 64))
-
-        def peak(run):
-            gc.collect()
-            tracemalloc.start()
-            try:
-                run()
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        recording = peak(lambda: model.forward(Tensor(normalize(hu)[None])))
-        tape_free = peak(lambda: restore_slice(model, hu))
+        recording = traced_memory(lambda: model.forward(Tensor(normalize(hu)[None])))[2]
+        tape_free = traced_memory(lambda: restore_slice(model, hu))[2]
         assert tape_free < 0.5 * recording, (tape_free, recording)
 
-    def test_restore_slice_peak_memory_bounded_by_shapes(self):
+    def test_restore_slice_peak_memory_bounded_by_shapes(self, traced_memory):
         """Preset T, one 128x128 f32 slice. The busiest moment is the
         feed-forward's 7x7 depth-wise conv at level 1 (128x128, 48 channels,
         hidden width 96). It must hold:
@@ -387,13 +403,7 @@ class TestNoGradInference:
                  + 4 * tensor_module._FFT_BLOCK * np.dtype(np.complex64).itemsize
                  + 4 * size * size * np.dtype(np.float64).itemsize)
         hu = np.random.default_rng(18).uniform(-1000, 2800, size=(size, size))
-        gc.collect()
-        tracemalloc.start()
-        try:
-            restore_slice(model, hu)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_memory(lambda: restore_slice(model, hu))[2]
         assert peak <= bound, (peak, bound)
 
 

@@ -1,8 +1,7 @@
 """Forward-semantics tests for the tensor core, oracle values first."""
 
-import gc
 import math
-import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -296,7 +295,7 @@ class TestConv2dProperty:
 class TestConvTape:
     @pytest.mark.parametrize("c_out,stride,groups", [(16, 2, 16), (4, 1, 1)],
                              ids=["dw3x3-stride2-taps", "dense3x3-planes"])
-    def test_recorded_conv_retains_only_its_output(self, c_out, stride, groups):
+    def test_recorded_conv_retains_only_its_output(self, c_out, stride, groups, traced_memory):
         """A recorded depth-wise tap-loop conv or dense output-planes conv
         keeps ``x`` for its backward, which the parent holds anyway, so what
         it adds to memory is its output. Neither the padded input (16 x 66 x
@@ -307,13 +306,8 @@ class TestConvTape:
         x = Tensor(rng.normal(size=(1, 16, 64, 64)).astype(np.float32), requires_grad=True)
         w = Tensor(rng.normal(size=(c_out, 16 // groups, 3, 3)).astype(np.float32),
                    requires_grad=True)
-        gc.collect()
-        tracemalloc.start()
-        try:
-            out = conv2d(x, w, stride=stride, padding=1, groups=groups)
-            retained = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
+        out, retained, _ = traced_memory(
+            lambda: conv2d(x, w, stride=stride, padding=1, groups=groups))
         assert out._backward_fn is not None
         assert retained <= out.data.nbytes + 16 * 1024, (retained, out.data.nbytes)
 
@@ -424,7 +418,7 @@ class TestGelu:
         np.testing.assert_array_equal(out.data.view(bits), recorded.data.view(bits))
 
     @pytest.mark.parametrize("dt", [np.float32, np.float64])
-    def test_no_grad_allocates_output_and_one_block(self, dt):
+    def test_no_grad_allocates_output_and_one_block(self, dt, traced_memory):
         """Under no_grad, gelu's peak allocation is its output plus one
         block's erf workspace: the block of x / sqrt(2) itself and, for f32,
         the three block-sized temporaries of ``_erf_f32`` (z^2, numerator,
@@ -433,14 +427,8 @@ class TestGelu:
         block = tensor_module._GELU_BLOCK
         x = Tensor(np.linspace(-6.0, 6.0, 8 * block + 8).astype(dt), requires_grad=True)
         workspace = (4 if dt == np.float32 else 1) * block * x.data.itemsize
-        gc.collect()
-        tracemalloc.start()
-        try:
-            with no_grad():
-                out = gelu(x)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        with no_grad():
+            out, _, peak = traced_memory(lambda: gelu(x))
         assert peak <= out.data.nbytes + workspace + 16 * 1024, (peak, out.data.nbytes)
 
 
@@ -556,6 +544,66 @@ class TestBackwardBasics:
         with pytest.raises(GraphError):
             loss.backward()
 
+    def test_backward_through_consumed_graph_rejected(self):
+        """A second backward that reaches a node the first one consumed
+        must fail before it changes any gradient, not treat the consumed
+        result as a leaf."""
+        w = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        h = mul(w, Tensor(np.array([2.0, 3.0])))
+        tmean(h).backward()
+        np.testing.assert_array_equal(w.grad, [1.0, 1.5])
+        with pytest.raises(GraphError):
+            tmean(mul(h, h)).backward()
+        np.testing.assert_array_equal(w.grad, [1.0, 1.5])
+        assert h.grad is None
+
+    def test_replaced_closure_is_the_one_called(self):
+        """A profiler may wrap a recorded result's ``_backward_fn``; backward
+        must call the wrapper in place of the original."""
+        w = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        h = mul(w, w)
+        inner, seen = h._backward_fn, []
+
+        def wrapper(g):
+            seen.append(g.copy())
+            return inner(g)
+
+        h._backward_fn = wrapper
+        assert h._backward_fn is wrapper
+        tmean(h).backward()
+        np.testing.assert_array_equal(seen, [[0.5, 0.5]])
+        np.testing.assert_array_equal(w.grad, [1.0, 2.0])
+
+    def test_dropped_results_are_freed(self):
+        """Results that no backward reads are freed as soon as the program
+        drops them, with the tape still alive: a conv output read only by
+        add, an add output read only by layernorm_channels and add, and a
+        gelu input. The gradients are those of a run that keeps all three."""
+        rng = np.random.default_rng(41)
+        x = Tensor(rng.normal(size=(1, 4, 8, 8)))
+        w0 = rng.normal(size=(4, 4, 3, 3))
+
+        def run(keep):
+            w = Tensor(w0.copy(), requires_grad=True)
+            gamma = Tensor(np.linspace(0.5, 1.5, 4), requires_grad=True)
+            conv = conv2d(x, w, padding=1)
+            summed = add(conv, x)
+            hidden = add(summed, layernorm_channels(summed, gamma))
+            loss = tmean(gelu(hidden))
+            refs = [weakref.ref(t.data) for t in (conv, summed, hidden)]
+            if not keep:
+                del conv, summed, hidden
+            dead = [ref() is None for ref in refs]
+            loss.backward()
+            return dead, w.grad, gamma.grad
+
+        dead, gw, ggamma = run(keep=False)
+        assert dead == [True, True, True]
+        kept, gw_kept, ggamma_kept = run(keep=True)
+        assert kept == [False, False, False]
+        np.testing.assert_array_equal(gw.view(np.int64), gw_kept.view(np.int64))
+        np.testing.assert_array_equal(ggamma.view(np.int64), ggamma_kept.view(np.int64))
+
     def test_non_scalar_loss_rejected(self):
         w = Tensor(np.array([1.0, 2.0]), requires_grad=True)
         with pytest.raises(GraphError):
@@ -594,11 +642,11 @@ class TestNoGrad:
     def test_ops_record_nothing(self):
         for op in self._ops(np.random.default_rng(21)):
             recorded = op()
-            assert recorded._backward_fn is not None and recorded._parents
+            assert recorded._backward_fn is not None and recorded._node.parents
             with no_grad():
                 out = op()
             np.testing.assert_array_equal(out.data, recorded.data)
-            assert out._parents == () and out._backward_fn is None
+            assert out._node is None and out._backward_fn is None
             assert not out.requires_grad
 
     def test_backward_through_scope_rejected(self):
