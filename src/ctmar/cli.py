@@ -2,75 +2,44 @@
 
 Subcommands: synth (dataset generation), train, infer, eval, count
 (parameter/FLOP tables for the presets and ablation sweeps) and
-gradcheck (finite-difference gradient audit). Heavy imports happen
-inside the handlers so MARFORMER_THREADS can cap BLAS parallelism
-before numpy loads.
+gradcheck (finite-difference gradient audit). BLAS parallelism follows
+the standard variables (``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``),
+which must be set before ``ctmar`` starts.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
-THREAD_ENV = "MARFORMER_THREADS"
+import numpy as np
 
-
-def _apply_thread_cap() -> None:
-    """Set every BLAS thread variable that is not set yet to MARFORMER_THREADS.
-
-    One line on stderr names what the cap could not do: a variable already
-    set to another value is kept, and a numpy imported before this call
-    has already sized its BLAS pool.
-    """
-    cap = os.environ.get(THREAD_ENV)
-    if not cap:
-        return
-    kept = []
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "NUMEXPR_NUM_THREADS"):
-        if os.environ.setdefault(var, cap) != cap:
-            kept.append(f"{var}={os.environ[var]}")
-    notes = [f"kept {', '.join(kept)}, already set"] if kept else []
-    if "numpy" in sys.modules:
-        notes.append("numpy is already imported, so its BLAS pool keeps its size")
-    if notes:
-        print(f"{THREAD_ENV}={cap}: {'; '.join(notes)}", file=sys.stderr)
-
-
-def _print_resolved(args: argparse.Namespace) -> None:
-    resolved = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
-    print("config:", json.dumps(resolved, default=str, sort_keys=True))
+from . import io as tio
+from .complexity import estimate_flops, expansion_variants, kernel_variants, reduction_variants
+from .model import ModelConfig, build_model, load_checkpoint, preset
+from .simulate import SPLITS, make_dataset
+from .train import (HU_DATA_RANGE, TrainConfig, evaluate, gradient_check, restore_slice, train,
+                    write_metrics_csv)
 
 
 # -- subcommand handlers -------------------------------------------------------------
 
 
 def cmd_synth(args) -> int:
-    from .simulate import make_dataset
-
     manifest = make_dataset(args.pairs, args.size, args.seed, args.out)
     print(f"wrote {2 * manifest.n_pairs} tensors + manifest to {args.out}")
-    for split in ("train", "val", "test"):
+    for split in SPLITS:
         print(f"  {split}: {len(manifest.split_pairs(split))} pairs")
     return 0
 
 
-def _resolve_config(args):
-    from .model import ModelConfig, preset
-
-    if getattr(args, "config", None):
-        with open(args.config, "r", encoding="utf-8") as fh:
-            return ModelConfig.from_dict(json.load(fh))
-    return preset(args.preset)
-
-
 def cmd_train(args) -> int:
-    from .model import build_model
-    from .train import TrainConfig, train
-
-    config = _resolve_config(args)
+    if args.config:
+        with open(args.config, "r", encoding="utf-8") as fh:
+            config = ModelConfig.from_dict(json.load(fh))
+    else:
+        config = preset(args.preset)
     cfg = TrainConfig(epochs=args.epochs, batch_size=args.batch, seed=args.seed,
                       max_steps=args.max_steps)
     model = build_model(config, seed=args.seed)
@@ -82,12 +51,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_infer(args) -> int:
-    import numpy as np
-
-    from . import io as tio
-    from .model import load_checkpoint
-    from .train import restore_slice
-
     model = load_checkpoint(args.ckpt)
     arr = tio.load_tensor(args.input)
     if arr.ndim == 3 and arr.shape[0] == 1:
@@ -101,9 +64,6 @@ def cmd_infer(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    from .model import load_checkpoint
-    from .train import HU_DATA_RANGE, evaluate, write_metrics_csv
-
     model = load_checkpoint(args.ckpt)
     report = evaluate(model, args.data, split=args.split)
     print("image_id,psnr_db,ssim")
@@ -118,10 +78,6 @@ def cmd_eval(args) -> int:
 
 
 def _cost_rows(args):
-    from .complexity import (estimate_flops, expansion_variants, kernel_variants,
-                             reduction_variants)
-    from .model import preset
-
     res = args.res
     if args.ablation == "table2":
         rows = [("input MA", None)] + reduction_variants()
@@ -160,8 +116,6 @@ def cmd_count(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    from .train import gradient_check
-
     result = gradient_check(seed=args.seed, n_samples=args.samples)
     print(f"sampled {result['n_samples']} parameters")
     print(f"max relative error: {result['max_rel_error']:.3e} "
@@ -212,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="PSNR/SSIM of a checkpoint on a dataset split")
     p.add_argument("--ckpt", required=True, help="checkpoint file")
     p.add_argument("--data", required=True, help="dataset directory")
-    p.add_argument("--split", default="test", choices=["train", "val", "test"],
+    p.add_argument("--split", default="test", choices=SPLITS,
                    help="dataset split (default test)")
     p.add_argument("--out", default=None, help="optional CSV output path")
     p.set_defaults(func=cmd_eval)
@@ -238,10 +192,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _apply_thread_cap()
     parser = build_parser()
     args = parser.parse_args(argv)
-    _print_resolved(args)
+    resolved = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
+    print("config:", json.dumps(resolved, default=str, sort_keys=True))
     try:
         return args.func(args)
     except (ValueError, RuntimeError, OSError) as exc:

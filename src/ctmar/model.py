@@ -20,7 +20,7 @@ import zlib
 from dataclasses import dataclass
 from io import BytesIO
 from pathlib import Path
-from typing import Iterator, Optional, Tuple, Union
+from typing import Iterator, Tuple, Union
 
 import numpy as np
 
@@ -98,7 +98,8 @@ class ModelConfig:
         if self.channel_ratio not in _ALLOWED_RATIOS:
             raise ConfigError(f"channel_ratio must be one of {_ALLOWED_RATIOS}")
         # base_channels is the narrowest level, so this bounds every FFN width
-        if type(self.expansion) not in (int, float) or not math.isfinite(self.expansion) \
+        if type(self.expansion) not in (int, float) \
+                or not math.isfinite(self.expansion * self.base_channels) \
                 or round(self.expansion * self.base_channels) < 1:
             raise ConfigError("expansion must be a finite number that leaves the "
                               "feed-forward at least one channel wide")
@@ -189,20 +190,22 @@ class Module:
     def params(self) -> list:
         return [t for _, t in self.named_params()]
 
-    def astype(self, dtype: str) -> "Module":
-        """Cast every parameter to ``dtype`` ("f32" or "f64") in place; returns self."""
+    def initialize(self, rng: np.random.Generator, dtype: str) -> "Module":
+        """Draw each conv (4-D) weight from uniform(+-1/sqrt(fan_in)) in float64 and
+        cast every parameter to ``dtype`` ("f32" or "f64"), one at a time; returns self."""
         for t in self.params():
-            t.data = t.data.astype(_as_dtype(dtype), copy=False)
+            data = t.data
+            if data.ndim == 4:
+                bound = 1.0 / math.sqrt(t.size // t.shape[0])
+                data = rng.uniform(-bound, bound, size=t.shape)
+            t.data = data.astype(_as_dtype(dtype), copy=False)
         return self
 
 
 class Conv2d(Module):
-    def __init__(self, rng: Optional[np.random.Generator], c_in: int, c_out: int, k: int,
-                 stride: int = 1, groups: int = 1, bias: bool = False):
-        bound = 1.0 / math.sqrt((c_in // groups) * k * k)
-        shape = (c_out, c_in // groups, k, k)
-        w = np.zeros(shape) if rng is None else rng.uniform(-bound, bound, size=shape)
-        self.weight = Tensor(w, requires_grad=True)
+    def __init__(self, c_in: int, c_out: int, k: int, stride: int = 1, groups: int = 1,
+                 bias: bool = False):
+        self.weight = Tensor(np.zeros((c_out, c_in // groups, k, k)), requires_grad=True)
         self.bias = Tensor(np.zeros(c_out), requires_grad=True) if bias else None
         self.stride = stride
         self.padding = (k - 1) // 2
@@ -240,15 +243,15 @@ class ChannelAttention(Module):
     depth-wise conv first, V shrinks channels first.
     """
 
-    def __init__(self, rng, channels: int, heads: int, spatial_ratio: int, channel_ratio: int):
+    def __init__(self, channels: int, heads: int, spatial_ratio: int, channel_ratio: int):
         reduced = channels // channel_ratio
-        self.q_dw = Conv2d(rng, channels, channels, 3, stride=spatial_ratio, groups=channels)
-        self.q_proj = Conv2d(rng, channels, channels, 1)
-        self.k_dw = Conv2d(rng, channels, channels, 3, stride=spatial_ratio, groups=channels)
-        self.k_proj = Conv2d(rng, channels, reduced, 1)
-        self.v_proj = Conv2d(rng, channels, reduced, 1)
-        self.v_dw = Conv2d(rng, reduced, reduced, 3, stride=1, groups=reduced)
-        self.out_proj = Conv2d(rng, channels, channels, 1)
+        self.q_dw = Conv2d(channels, channels, 3, stride=spatial_ratio, groups=channels)
+        self.q_proj = Conv2d(channels, channels, 1)
+        self.k_dw = Conv2d(channels, channels, 3, stride=spatial_ratio, groups=channels)
+        self.k_proj = Conv2d(channels, reduced, 1)
+        self.v_proj = Conv2d(channels, reduced, 1)
+        self.v_dw = Conv2d(reduced, reduced, 3, stride=1, groups=reduced)
+        self.out_proj = Conv2d(channels, channels, 1)
         # one learnable log-temperature per head; zero means the scores
         # are scaled by exactly 1/sqrt(#query positions)
         self.temperature = Tensor(np.zeros((heads, 1, 1)), requires_grad=True)
@@ -294,11 +297,11 @@ class ChannelAttention(Module):
 class ConvFeedForward(Module):
     """Expand channels, GELU, wide depth-wise conv, GELU, shrink."""
 
-    def __init__(self, rng, channels: int, expansion: float, kernel: int):
+    def __init__(self, channels: int, expansion: float, kernel: int):
         hidden = int(round(expansion * channels))
-        self.conv_in = Conv2d(rng, channels, hidden, 1)
-        self.conv_dw = Conv2d(rng, hidden, hidden, kernel, groups=hidden)
-        self.conv_out = Conv2d(rng, hidden, channels, 1)
+        self.conv_in = Conv2d(channels, hidden, 1)
+        self.conv_dw = Conv2d(hidden, hidden, kernel, groups=hidden)
+        self.conv_out = Conv2d(hidden, channels, 1)
 
     def forward(self, x: Tensor) -> Tensor:
         # nested, so no name holds a hidden activation its consumer is done with
@@ -312,12 +315,11 @@ class ConvFeedForward(Module):
 class TransformerBlock(Module):
     """Pre-norm residual pair: attention then feed-forward."""
 
-    def __init__(self, rng, channels: int, heads: int, config: ModelConfig):
+    def __init__(self, channels: int, heads: int, config: ModelConfig):
         self.norm1 = ChannelLayerNorm(channels)
-        self.attn = ChannelAttention(rng, channels, heads, config.spatial_ratio,
-                                     config.channel_ratio)
+        self.attn = ChannelAttention(channels, heads, config.spatial_ratio, config.channel_ratio)
         self.norm2 = ChannelLayerNorm(channels)
-        self.ffn = ConvFeedForward(rng, channels, config.expansion, config.ffn_kernel)
+        self.ffn = ConvFeedForward(channels, config.expansion, config.ffn_kernel)
 
     def forward(self, x: Tensor) -> Tensor:
         x = x + self.attn.forward(self.norm1.forward(x))
@@ -330,8 +332,8 @@ class TransformerBlock(Module):
 class Downsample(Module):
     """Pixel-unshuffle by 2, then a 1x1 conv from 4*C_in to C_out."""
 
-    def __init__(self, rng, c_in: int, c_out: int):
-        self.proj = Conv2d(rng, 4 * c_in, c_out, 1)
+    def __init__(self, c_in: int, c_out: int):
+        self.proj = Conv2d(4 * c_in, c_out, 1)
 
     def forward(self, x: Tensor) -> Tensor:
         return self.proj.forward(pixel_unshuffle(x, 2))
@@ -343,8 +345,8 @@ class Downsample(Module):
 class Upsample(Module):
     """1x1 conv from C_in to 4*C_out, then pixel-shuffle by 2."""
 
-    def __init__(self, rng, c_in: int, c_out: int):
-        self.proj = Conv2d(rng, c_in, 4 * c_out, 1)
+    def __init__(self, c_in: int, c_out: int):
+        self.proj = Conv2d(c_in, 4 * c_out, 1)
 
     def forward(self, x: Tensor) -> Tensor:
         return pixel_shuffle(self.proj.forward(x), 2)
@@ -356,30 +358,29 @@ class Upsample(Module):
 class MARNet(Module):
     """The end-to-end restorer: encoder levels, bottleneck, decoder, residual add.
 
-    ``rng`` draws the float64 initial weights in ``STAGES`` order; ``build_model``
-    and ``load_checkpoint`` set the precision. With None nothing is drawn and every
-    conv weight is a float64 zero array that is never written, for a checkpoint to
-    replace or the cost accountant to measure.
+    Parameters start as float64 zeros (ones for the norm gains): ``build_model``
+    draws and casts them, ``load_checkpoint`` replaces them and the cost
+    accountant reads only their sizes.
     """
 
-    def __init__(self, config: ModelConfig, rng: Optional[np.random.Generator]):
+    def __init__(self, config: ModelConfig):
         chans = config.level_channels
         self.config = config
         for key, kind, level in STAGES:
             c = chans[level]
             if kind == "blocks":
-                part = [TransformerBlock(rng, c, config.num_heads[level], config)
+                part = [TransformerBlock(c, config.num_heads[level], config)
                         for _ in range(config.num_blocks[level])]
             elif kind == "down":
-                part = Downsample(rng, chans[level - 1], c)
+                part = Downsample(chans[level - 1], c)
             elif kind == "up":
-                part = Upsample(rng, chans[level + 1], c)
+                part = Upsample(chans[level + 1], c)
             elif kind == "reduce":
-                part = Conv2d(rng, 2 * c, c, 1)
+                part = Conv2d(2 * c, c, 1)
             elif kind == "intro":
-                part = Conv2d(rng, 1, c, 3, bias=True)
-            else:   # zeroed head, drawing nothing: the untrained network adds a zero residual
-                part = Conv2d(None, c, 1, 3, bias=True)
+                part = Conv2d(1, c, 3, bias=True)
+            else:   # outro
+                part = Conv2d(c, 1, 3, bias=True)
             setattr(self, key, part)
 
     def forward(self, image: Tensor) -> Tensor:
@@ -409,8 +410,11 @@ class MARNet(Module):
 
 
 def build_model(config: ModelConfig, seed: int = 0, dtype: str = "f32") -> MARNet:
-    """A seeded model in ``dtype``; the weights are drawn in float64 and then cast."""
-    return MARNet(config, np.random.default_rng(seed)).astype(dtype)
+    """A seeded model in ``dtype`` whose output head is zeroed, so the untrained
+    network adds a zero residual: the identity restorer."""
+    model = MARNet(config).initialize(np.random.default_rng(seed), dtype)
+    model.outro.weight.data.fill(0.0)     # drawn last, so no other draw moves
+    return model
 
 
 # -- checkpoints ------------------------------------------------------------------
@@ -497,7 +501,7 @@ def load_checkpoint(path: Union[str, Path]) -> MARNet:
             config = ModelConfig.from_dict(header["config"])
         except ConfigError as exc:
             raise CheckpointError(f"{path}: bad embedded config ({exc})") from exc
-        model = MARNet(config, None)
+        model = MARNet(config)
         params = dict(model.named_params())
         names_found = set()
         payload_start = 9 + header_len

@@ -384,6 +384,7 @@ class DatasetManifest:
 
 
 MANIFEST_NAME = "manifest.json"
+SPLITS = ("train", "val", "test")
 
 
 def _split_for(index: int, n_pairs: int) -> str:
@@ -433,12 +434,19 @@ def _check_fields(path: Path, what: str, entry, cls) -> None:
 
 
 def _pair_record(path: Path, index: int, entry) -> PairRecord:
-    """Validate one manifest pair entry: exactly PairRecord's fields, and
-    slice paths that stay inside the manifest's directory."""
+    """Validate one manifest pair entry: exactly PairRecord's fields, each of
+    its declared type, a known split, and slice paths that stay inside the
+    manifest's directory."""
     _check_fields(path, f"pair {index}", entry, PairRecord)
+    for f in fields(PairRecord):     # the annotations are strings: "int" or "str"
+        if type(entry[f.name]).__name__ != f.type:
+            raise ValueError(f"{path}: pair {index} {f.name} {entry[f.name]!r} is not {f.type}")
+    if entry["split"] not in SPLITS:
+        raise ValueError(f"{path}: pair {index} split {entry['split']!r} "
+                         f"is not one of {', '.join(SPLITS)}")
     base = path.parent.resolve()
     for key in ("clean_path", "ma_path"):
-        if not (base / str(entry[key])).resolve().is_relative_to(base):
+        if not (base / entry[key]).resolve().is_relative_to(base):
             raise ValueError(f"{path}: pair {index} {key} {entry[key]!r} "
                              f"is outside the dataset directory")
     return PairRecord(**entry)

@@ -266,9 +266,7 @@ def gradient_check(seed: int = 0, n_samples: int = 50) -> dict:
     rng = np.random.default_rng(seed + 1)
     # the head is built zeroed (identity restorer), which would block
     # gradient flow to everything upstream; move off that point first
-    w = model.outro.weight
-    bound = 1.0 / math.sqrt(w.data[0].size)
-    w.data = rng.uniform(-bound, bound, size=w.shape)
+    model.outro.initialize(rng, "f64")
     x_data = rng.normal(size=(1, 16, 16))
     # keep residuals away from the L1 kink so the oracle stays smooth
     target_data = x_data + rng.choice([-1.0, 1.0], size=x_data.shape) * \

@@ -10,12 +10,6 @@ from ctmar.cli import main
 from ctmar.model import build_model, preset, save_checkpoint
 
 
-@pytest.fixture(autouse=True)
-def no_thread_cap(monkeypatch):
-    # with MARFORMER_THREADS set, main() adds a line to stderr
-    monkeypatch.delenv("MARFORMER_THREADS", raising=False)
-
-
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -236,7 +230,11 @@ class TestEvalAndTrain:
         (lambda pairs: pairs[2].update(clean_path="../outside.mtsr"), "outside"),
         (lambda pairs: pairs.__setitem__(2, ["0002_clean.mtsr", "0002_ma.mtsr"]),
          "not a JSON object"),
-    ], ids=["missing", "unknown", "outside", "not-object"])
+        (lambda pairs: pairs[2].update(pair_id=[1]), "pair_id [1] is not int"),
+        (lambda pairs: pairs[2].update(clean_path=5), "clean_path 5 is not str"),
+        (lambda pairs: pairs[2].update(split="holdout"), "split 'holdout' is not one of"),
+    ], ids=["missing", "unknown", "outside", "not-object", "pair-id-list", "path-int",
+            "split-unknown"])
     def test_eval_bad_manifest_pair_rejected(self, tmp_path, capsys, edit, needle):
         ds, ckpt = self._dataset_and_checkpoint(tmp_path, capsys)
         # a readable slice outside the dataset, so only the path check can refuse it
@@ -283,70 +281,6 @@ class TestGradcheckCommand:
         assert err.startswith("error:") and f"at least 1 sample, got {samples}" in err
         assert len(err.strip().splitlines()) == 1
         assert "sampled" not in out
-
-
-class TestThreadCap:
-    @pytest.fixture(autouse=True)
-    def private_environ(self, monkeypatch):
-        # the cap sets variables that monkeypatch did not record (delenv of
-        # an unset one records nothing), so let it write into a copy
-        import os
-        monkeypatch.setattr(os, "environ", dict(os.environ))
-
-    def test_env_var_caps_blas_pools(self, monkeypatch):
-        from ctmar.cli import _apply_thread_cap
-        monkeypatch.setenv("MARFORMER_THREADS", "3")
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            monkeypatch.delenv(var, raising=False)
-        _apply_thread_cap()
-        import os
-        assert os.environ["OMP_NUM_THREADS"] == "3"
-        assert os.environ["OPENBLAS_NUM_THREADS"] == "3"
-
-    def test_existing_setting_wins(self, monkeypatch, capsys):
-        from ctmar.cli import _apply_thread_cap
-        monkeypatch.setenv("MARFORMER_THREADS", "3")
-        monkeypatch.setenv("OMP_NUM_THREADS", "8")
-        for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-            monkeypatch.delenv(var, raising=False)
-        _apply_thread_cap()
-        import os
-        assert os.environ["OMP_NUM_THREADS"] == "8"
-        # numpy is imported by now, so the line names that too
-        err = capsys.readouterr().err
-        assert err.startswith("MARFORMER_THREADS=3: kept OMP_NUM_THREADS=8, already set")
-        assert "numpy is already imported" in err
-        assert len(err.splitlines()) == 1
-
-
-    @staticmethod
-    def run_python(*args, **env_extra):
-        """Run a fresh interpreter on this source tree with no BLAS variable set."""
-        import os
-        import subprocess
-        import sys
-        from pathlib import Path
-
-        import ctmar
-        env = {k: v for k, v in os.environ.items()
-               if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                            "NUMEXPR_NUM_THREADS", "MARFORMER_THREADS")}
-        env["PYTHONPATH"] = str(Path(ctmar.__file__).resolve().parents[1])
-        env.update(env_extra)
-        return subprocess.run([sys.executable, *args], env=env, capture_output=True,
-                              text=True, timeout=120)
-
-    def test_cli_import_loads_no_numpy(self):
-        proc = self.run_python("-c", "import sys, ctmar.cli; print('numpy' in sys.modules)")
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
-
-    def test_cap_applies_before_numpy_loads(self):
-        proc = self.run_python("-m", "ctmar.cli", "count", "--preset", "T", "--res", "32",
-                               MARFORMER_THREADS="1")
-        assert proc.returncode == 0, proc.stderr
-        assert "numpy is already imported" not in proc.stderr
-        assert "MARFORMER_THREADS" not in proc.stderr
 
 
 class TestParser:

@@ -1,6 +1,10 @@
 """Architecture tests: presets, shapes, identity-at-init, checkpoints, gradients."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -77,7 +81,7 @@ class TestConfig:
         ("fixed_width", 0), ("fixed_width", "false"), ("expansion", 0.01),
         ("expansion", 0.0625), ("expansion", 0.0), ("expansion", -2.0),
         ("expansion", float("inf")), ("expansion", float("nan")), ("expansion", "2"),
-        ("expansion", True),
+        ("expansion", True), ("expansion", 1e308),
     ])
     def test_from_dict_rejects_bad_field_types(self, field, value):
         fields = dict(TINY.to_dict(), **{field: value})
@@ -95,31 +99,47 @@ class TestConfig:
         assert build_model(cfg).enc1[0].ffn.conv_dw.weight.shape[0] == 1
 
 
+def run_python(code: str) -> str:
+    """Run ``code`` in a fresh interpreter on this source tree; returns its stdout."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return proc.stdout
+
+
+def test_package_exports_resolve_on_plain_import():
+    out = run_python("import ctmar\n"
+                     "print([n for n in ctmar.__all__ if not hasattr(ctmar, n)])")
+    assert out.strip() == "[]"
+
+
 class TestLevelTransitions:
     def test_downsample_channel_law(self):
         rng = np.random.default_rng(0)
-        down = Downsample(rng, 48, 96).astype("f32")
+        down = Downsample(48, 96).initialize(rng, "f32")
         out = down.forward(Tensor(rng.normal(size=(1, 48, 64, 64)).astype(np.float32)))
         assert out.shape == (1, 96, 32, 32)
 
     def test_downsample_fixed_width(self):
         rng = np.random.default_rng(0)
-        down = Downsample(rng, 48, 48).astype("f32")
+        down = Downsample(48, 48).initialize(rng, "f32")
         out = down.forward(Tensor(rng.normal(size=(1, 48, 64, 64)).astype(np.float32)))
         assert out.shape == (1, 48, 32, 32)
 
     def test_up_down_shape_inverse(self):
         rng = np.random.default_rng(1)
         x = Tensor(rng.normal(size=(1, 16, 8, 8)).astype(np.float32))
-        down = Downsample(rng, 16, 32).astype("f32")
-        up = Upsample(rng, 32, 16).astype("f32")
+        down = Downsample(16, 32).initialize(rng, "f32")
+        up = Upsample(32, 16).initialize(rng, "f32")
         assert up.forward(down.forward(x)).shape == x.shape
 
 
 class TestChannelAttention:
     def test_projection_shapes(self):
         rng = np.random.default_rng(2)
-        attn = ChannelAttention(rng, 48, heads=1, spatial_ratio=2, channel_ratio=2).astype("f32")
+        attn = ChannelAttention(48, heads=1, spatial_ratio=2, channel_ratio=2) \
+            .initialize(rng, "f32")
         x = Tensor(rng.normal(size=(1, 48, 64, 64)).astype(np.float32))
         q, k, v = attn.project_qkv(x)
         assert q.shape == (1, 1, 48, 1024)
@@ -129,7 +149,8 @@ class TestChannelAttention:
 
     def test_attention_rows_sum_to_one(self):
         rng = np.random.default_rng(3)
-        attn = ChannelAttention(rng, 16, heads=2, spatial_ratio=2, channel_ratio=2).astype("f32")
+        attn = ChannelAttention(16, heads=2, spatial_ratio=2, channel_ratio=2) \
+            .initialize(rng, "f32")
         x = Tensor(rng.normal(size=(1, 16, 8, 8)).astype(np.float32))
         from ctmar.tensor import matmul, softmax, texp, transpose
         q, k, v = attn.project_qkv(x)
@@ -156,7 +177,7 @@ class TestChannelAttention:
         a looped softmax(X X^T) X evaluation on the flattened input."""
         rng = np.random.default_rng(4)
         c, h, w = 4, 4, 4
-        attn = ChannelAttention(rng, c, heads=1, spatial_ratio=1, channel_ratio=1).astype("f32")
+        attn = ChannelAttention(c, heads=1, spatial_ratio=1, channel_ratio=1).initialize(rng, "f32")
         self._identity_projections(attn, c)
         # cancel the 1/sqrt(S') factor so the score scale is exactly 1
         attn.temperature.data = np.full((1, 1, 1), -0.5 * math.log(h * w), dtype=np.float32)
@@ -181,7 +202,7 @@ class TestChannelAttention:
 class TestConvFeedForward:
     def test_zero_weights_zero_output(self):
         rng = np.random.default_rng(5)
-        ffn = ConvFeedForward(rng, 8, 2.0, 7).astype("f32")
+        ffn = ConvFeedForward(8, 2.0, 7).initialize(rng, "f32")
         for conv in (ffn.conv_in, ffn.conv_dw, ffn.conv_out):
             conv.weight.data[:] = 0.0
         x = Tensor(rng.normal(size=(1, 8, 16, 16)).astype(np.float32))
@@ -189,14 +210,14 @@ class TestConvFeedForward:
 
     def test_shape_preserved(self):
         rng = np.random.default_rng(6)
-        ffn = ConvFeedForward(rng, 6, 2.0, 5).astype("f32")
+        ffn = ConvFeedForward(6, 2.0, 5).initialize(rng, "f32")
         x = Tensor(rng.normal(size=(2, 6, 12, 20)).astype(np.float32))
         assert ffn.forward(x).shape == x.shape
 
     def test_scalar_trace_through_gelu(self):
         """Single pixel, 1x1 kernels: the whole module is a scalar formula."""
         rng = np.random.default_rng(7)
-        ffn = ConvFeedForward(rng, 1, 2.0, 1).astype("f32")
+        ffn = ConvFeedForward(1, 2.0, 1).initialize(rng, "f32")
         a, b = 0.7, -1.1
         c, d = 1.3, 0.4
         e, f = -0.6, 2.0
@@ -216,7 +237,7 @@ class TestConvFeedForward:
 class TestTransformerBlock:
     def test_zero_weights_residual_identity(self):
         rng = np.random.default_rng(8)
-        block = TransformerBlock(rng, 8, 2, TINY).astype("f32")
+        block = TransformerBlock(8, 2, TINY).initialize(rng, "f32")
         for _, t in block.named_params():
             if t.ndim == 4:  # conv weights only; norms keep gamma=1
                 t.data[:] = 0.0
@@ -225,7 +246,7 @@ class TestTransformerBlock:
 
     def test_deterministic_repeat(self):
         rng = np.random.default_rng(9)
-        block = TransformerBlock(rng, 8, 1, TINY).astype("f32")
+        block = TransformerBlock(8, 1, TINY).initialize(rng, "f32")
         x = Tensor(rng.normal(size=(1, 8, 8, 8)).astype(np.float32))
         first = block.forward(x).data
         second = block.forward(x).data
@@ -247,7 +268,7 @@ class TestTransformerBlock:
         config = ModelConfig(base_channels=16, num_heads=(1, 1, 1, 1))
         n, c, size = 2, 16, 64
         rng = np.random.default_rng(19)
-        block = TransformerBlock(rng, c, 1, config).astype("f32")
+        block = TransformerBlock(c, 1, config).initialize(rng, "f32")
         x = Tensor(rng.normal(size=(n, c, size, size)).astype(np.float32))
         plane = n * size * size * np.dtype(np.float32).itemsize
         coarse = plane // config.spatial_ratio ** 2
@@ -270,10 +291,22 @@ class TestMARNet:
             np.testing.assert_array_equal(out.data, x.data)
 
     def test_unseeded_model_holds_float64_zeros(self):
-        for name, t in MARNet(TINY, None).named_params():
+        for name, t in MARNet(TINY).named_params():
             assert t.data.dtype == np.float64, name
             # norms start at gamma = 1; every other parameter at zero
             np.testing.assert_array_equal(t.data, 1.0 if name.endswith("gamma") else 0.0)
+
+    def test_float32_build_peak(self):
+        """A float32 preset-L build holds one float64 draw at a time. The f32
+        tree is 46 MiB; drawing the whole float64 tree before casting it
+        raised the peak by 93 MiB."""
+        out = run_python("import resource\n"
+                         "from ctmar.model import build_model, preset\n"
+                         "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+                         "build_model(preset('L'), seed=3)\n"
+                         "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)")
+        rise_mib = int(out) / 1024      # ru_maxrss counts KiB on Linux
+        assert rise_mib < 65, rise_mib
 
     def test_shape_preserved_batched(self):
         model = build_model(TINY, seed=0)
