@@ -15,7 +15,8 @@ rng = np.random.default_rng(0)
 w = Tensor(rng.normal(size=(4, 2, 3, 3)), requires_grad=True)
 x = Tensor(rng.normal(size=(1, 2, 8, 8)))
 
-y = conv2d(x, w, padding=1)
+# Convolutions are same-padded: a k x k kernel pads by k // 2 on each side.
+y = conv2d(x, w)
 print("conv output shape:", y.shape)
 
 loss = tmean(gelu(y))
@@ -25,11 +26,12 @@ print("dloss/dw shape:", w.grad.shape, "norm:", f"{np.linalg.norm(w.grad):.4f}")
 
 # The same gradient, this time from central finite differences. The two
 # mechanisms are independent; they should agree to a few decimal places.
-fd = finite_diff_grad(lambda t: tmean(gelu(conv2d(x, t, padding=1))),
+fd = finite_diff_grad(lambda t: tmean(gelu(conv2d(x, t))),
                       Tensor(w.data.copy()), h=1e-5)
 rel = np.abs(w.grad - fd).max() / np.abs(fd).max()
 print("max relative difference vs finite differences:", f"{rel:.2e}")
 
-# Softmax rows are convex weights: they sum to one even for huge logits.
+# Softmax (over the last axis) gives convex weights: each row sums to one
+# even for huge logits.
 logits = Tensor(np.array([[1000.0, 0.0, -1000.0], [3.0, 2.0, 1.0]]))
-print("softmax rows:", softmax(logits, axis=1).data.sum(axis=1))
+print("softmax rows:", softmax(logits).data.sum(axis=1))

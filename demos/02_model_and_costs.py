@@ -20,8 +20,9 @@ for name in ("L", "B", "T"):
     print(f"{name:<8}{rep.params / 1e6:>12.2f}{rep.flops / 1e9:>24.2f}")
 
 # A fresh model is the identity restorer: the output head starts at zero.
+# forward takes a batch of slices, (N, 1, H, W).
 model = build_model(preset("T"), seed=0)
-x = Tensor(np.random.default_rng(1).normal(size=(1, 64, 64)).astype(np.float32))
+x = Tensor(np.random.default_rng(1).normal(size=(1, 1, 64, 64)).astype(np.float32))
 assert np.array_equal(model.forward(x).data, x.data)
 print("\nfresh model restores the input bit-exactly (zeroed residual head)")
 

@@ -13,8 +13,6 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from . import io as tio
 from .complexity import estimate_flops, expansion_variants, kernel_variants, reduction_variants
 from .model import ModelConfig, build_model, load_checkpoint, preset
@@ -57,7 +55,7 @@ def cmd_infer(args) -> int:
         arr = arr[0]
     if arr.ndim != 2:
         raise ValueError(f"input tensor must be (H,W) or (1,H,W), got {arr.shape}")
-    restored = restore_slice(model, arr.astype(np.float32))
+    restored = restore_slice(model, arr)
     tio.save_tensor(args.output, restored.astype(arr.dtype))
     print(f"restored slice written to {args.output}")
     return 0

@@ -33,10 +33,10 @@ def psnr(a: np.ndarray, b: np.ndarray, data_range: float) -> float:
     return 10.0 * math.log10(data_range ** 2 / mse)
 
 
-def _gaussian_kernel(size: int = SSIM_WINDOW, sigma: float = SSIM_SIGMA) -> np.ndarray:
+def _gaussian_kernel() -> np.ndarray:
     """The 1-D factor of the window: the window is the outer product of it with itself."""
-    half = (size - 1) / 2.0
-    g = np.exp(-((np.arange(size) - half) ** 2) / (2.0 * sigma ** 2))
+    half = (SSIM_WINDOW - 1) / 2.0
+    g = np.exp(-((np.arange(SSIM_WINDOW) - half) ** 2) / (2.0 * SSIM_SIGMA ** 2))
     return g / g.sum()
 
 

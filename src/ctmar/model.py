@@ -208,12 +208,10 @@ class Conv2d(Module):
         self.weight = Tensor(np.zeros((c_out, c_in // groups, k, k)), requires_grad=True)
         self.bias = Tensor(np.zeros(c_out), requires_grad=True) if bias else None
         self.stride = stride
-        self.padding = (k - 1) // 2
         self.groups = groups
 
     def forward(self, x: Tensor) -> Tensor:
-        return conv2d(x, self.weight, self.bias, stride=self.stride,
-                      padding=self.padding, groups=self.groups)
+        return conv2d(x, self.weight, self.bias, stride=self.stride, groups=self.groups)
 
     def macs(self, h: int, w: int) -> int:
         return self.weight.size * ((h - 1) // self.stride + 1) * ((w - 1) // self.stride + 1)
@@ -279,7 +277,7 @@ class ChannelAttention(Module):
         sp = q.shape[-1]
         scale = texp(-self.temperature) * (1.0 / math.sqrt(sp))
         scores = matmul(q, transpose(k, (0, 1, 3, 2))) * scale
-        attn = softmax(scores, axis=-1)
+        attn = softmax(scores)
         mixed = matmul(attn, v)
         mixed = reshape(mixed, (n, c, height, width))
         return self.out_proj.forward(mixed)
@@ -336,7 +334,7 @@ class Downsample(Module):
         self.proj = Conv2d(4 * c_in, c_out, 1)
 
     def forward(self, x: Tensor) -> Tensor:
-        return self.proj.forward(pixel_unshuffle(x, 2))
+        return self.proj.forward(pixel_unshuffle(x))
 
     def macs(self, h: int, w: int) -> int:
         return self.proj.macs(h // 2, w // 2)
@@ -349,7 +347,7 @@ class Upsample(Module):
         self.proj = Conv2d(c_in, 4 * c_out, 1)
 
     def forward(self, x: Tensor) -> Tensor:
-        return pixel_shuffle(self.proj.forward(x), 2)
+        return pixel_shuffle(self.proj.forward(x))
 
     def macs(self, h: int, w: int) -> int:
         return self.proj.macs(h, w)
@@ -384,18 +382,13 @@ class MARNet(Module):
             setattr(self, key, part)
 
     def forward(self, image: Tensor) -> Tensor:
-        """Restore a slice; accepts (1,H,W) or (N,1,H,W) with H, W divisible by 8.
-
-        Every module runs on (N,C,H,W): a (1,H,W) slice goes through as a
-        batch of one and comes back as (1,H,W).
-        """
-        if image.ndim not in (3, 4) or image.shape[-3] != 1:
-            raise ShapeError(f"expected (1,H,W) or (N,1,H,W), got {image.shape}")
-        h, w = image.shape[-2:]
-        if h % 8 or w % 8:
-            raise ShapeError(f"spatial extents {h}x{w} must be divisible by 8")
-        x = reshape(image, (1,) + image.shape) if image.ndim == 3 else image
-        skips = []
+        """Restore a batch of slices (N,1,H,W), H and W positive multiples of 8."""
+        if image.ndim != 4 or image.shape[1] != 1:
+            raise ShapeError(f"expected (N,1,H,W), got {image.shape}")
+        h, w = image.shape[2:]
+        if h % 8 or w % 8 or min(h, w) < 8:
+            raise ShapeError(f"spatial extents {h}x{w} must be positive multiples of 8")
+        x, skips = image, []
         for key, kind, _ in STAGES:
             part = getattr(self, key)
             if kind == "down":
@@ -404,8 +397,6 @@ class MARNet(Module):
                 x = concat([x, skips.pop()], axis=1)
             for module in part if kind == "blocks" else [part]:
                 x = module.forward(x)
-        if image.ndim == 3:
-            x = reshape(x, image.shape)
         return image + x
 
 

@@ -220,10 +220,8 @@ def _ramp_kernel(size: int) -> np.ndarray:
     return kernel
 
 
-def fbp_reconstruct(sino: Sinogram, height: int, width: int) -> np.ndarray:
-    """Ramp-filtered back-projection; returns attenuation in 1/mm."""
-    if height != width:
-        raise ValueError("reconstruction target must be square")
+def fbp_reconstruct(sino: Sinogram, size: int) -> np.ndarray:
+    """Ramp-filtered back-projection onto a size x size grid; returns attenuation in 1/mm."""
     n_angles, n_det = sino.values.shape
     # frequency-domain ramp, zero-padded to the next power of two >= 2 n_det
     padded = max(64, 1 << int(math.ceil(math.log2(2 * n_det))))
@@ -233,25 +231,25 @@ def fbp_reconstruct(sino: Sinogram, height: int, width: int) -> np.ndarray:
     filtered = np.real(np.fft.ifft(np.fft.fft(proj, axis=1) * ramp[None, :], axis=1))
     filtered = filtered[:, :n_det]
 
-    center = (height - 1) / 2.0
+    center = (size - 1) / 2.0
     det_center = (n_det - 1) / 2.0
-    ys, xs = np.mgrid[0:height, 0:width]
+    ys, xs = np.mgrid[0:size, 0:size]
     xs = xs - center
     ys = ys - center
-    recon = np.zeros((height, width), dtype=np.float64)
+    recon = np.zeros((size, size), dtype=np.float64)
     angles = np.arange(n_angles) * math.pi / n_angles
     for i, theta in enumerate(angles):
         t = xs * math.cos(theta) + ys * math.sin(theta) + det_center
         recon += np.interp(t.ravel(), np.arange(n_det), filtered[i],
-                           left=0.0, right=0.0).reshape(height, width)
+                           left=0.0, right=0.0).reshape(size, size)
     # the projections were rescaled to pixel-unit path lengths before
     # filtering, so the back-projection already returns mu in 1/mm
     return recon * (math.pi / n_angles)
 
 
 def simulate_ma_pair(clean: PhantomImage, metal_mask: np.ndarray,
-                     params: SimParams) -> Tuple[PhantomImage, PhantomImage]:
-    """Degrade ``clean`` with inserted metal plus beam hardening.
+                     params: SimParams) -> PhantomImage:
+    """The MA image: ``clean`` degraded with inserted metal plus beam hardening.
 
     The metal's attenuation is taken from the unclipped ``METAL_HU``,
     so the reconstruction saturates the display window at the implant;
@@ -278,12 +276,12 @@ def simulate_ma_pair(clean: PhantomImage, metal_mask: np.ndarray,
         s = sino.values
         s[hits] = s[hits] + BEAM_HARDENING * s[hits] ** 2 / (1.0 + s[hits])
 
-    recon = fbp_reconstruct(sino, *clean.pixels.shape)
+    recon = fbp_reconstruct(sino, clean.pixels.shape[0])
     ma_hu = np.clip(mu_to_hu(recon), HU_MIN, HU_MAX)
     if n_metal:
         # the implant itself always reads as saturated metal
         ma_hu[mask] = HU_MAX
-    return PhantomImage(ma_hu, clean.spacing), clean
+    return PhantomImage(ma_hu, clean.spacing)
 
 
 # -- procedural phantoms -----------------------------------------------------------
@@ -409,7 +407,7 @@ def make_dataset(n_pairs: int, size: int, seed: int,
         rng = np.random.default_rng(seed ^ i)
         clean = jaw_phantom(size, rng)
         mask = random_metal_mask(clean, rng)
-        ma, clean = simulate_ma_pair(clean, mask, SimParams())
+        ma = simulate_ma_pair(clean, mask, SimParams())
         clean_name, ma_name = f"{i:04d}_clean.mtsr", f"{i:04d}_ma.mtsr"
         tio.save_tensor(out / clean_name, clean.pixels.astype(np.float32))
         tio.save_tensor(out / ma_name, ma.pixels.astype(np.float32))

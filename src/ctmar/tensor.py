@@ -411,18 +411,16 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
 # -- softmax / normalization ---------------------------------------------------
 
 
-def softmax(a: Tensor, axis: int) -> Tensor:
-    """Stable softmax along ``axis`` (per-slice max subtraction)."""
-    if not -a.ndim <= axis < a.ndim:
-        raise ShapeError(f"softmax axis {axis} out of range for shape {a.shape}")
+def softmax(a: Tensor) -> Tensor:
+    """Stable softmax along the last axis (per-row max subtraction)."""
     x = a.data
-    m = x.max(axis=axis, keepdims=True)
+    m = x.max(axis=-1, keepdims=True)
     e = np.exp(x - m)
-    s = e / e.sum(axis=axis, keepdims=True)
+    s = e / e.sum(axis=-1, keepdims=True)
     out = Tensor(s)
 
     def bw(g):
-        dot = (g * s).sum(axis=axis, keepdims=True)
+        dot = (g * s).sum(axis=-1, keepdims=True)
         return (s * (g - dot),)
 
     return out._record((a,), bw)
@@ -463,25 +461,20 @@ def layernorm_channels(a: Tensor, gamma: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Batched matrix product ``a[..., M, K] @ b[..., K, N]``.
-
-    Leading batch extents must agree (or be absent on one side).
-    """
+    """Batched matrix product ``a[..., M, K] @ b[..., K, N]``; the leading
+    batch extents of the two operands must be equal."""
     _check_same_dtype(a, b)
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError("matmul operands must have rank >= 2")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner extents differ: {a.shape} @ {b.shape}")
-    for da, db in zip(reversed(a.shape[:-2]), reversed(b.shape[:-2])):
-        if da != db:
-            raise ShapeError(f"matmul batch extents differ: {a.shape} @ {b.shape}")
+    if a.shape[:-2] != b.shape[:-2]:
+        raise ShapeError(f"matmul batch extents differ: {a.shape} @ {b.shape}")
     x, y = a.data, b.data
     out = Tensor(np.matmul(x, y))
 
     def bw(g):
-        ga = np.matmul(g, np.swapaxes(y, -1, -2))
-        gb = np.matmul(np.swapaxes(x, -1, -2), g)
-        return _unbroadcast(ga, x.shape), _unbroadcast(gb, y.shape)
+        return np.matmul(g, np.swapaxes(y, -1, -2)), np.matmul(np.swapaxes(x, -1, -2), g)
 
     return out._record((a, b), bw)
 
@@ -489,80 +482,70 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 # -- pixel shuffle ------------------------------------------------------------
 
 
-def _unshuffle(x: np.ndarray, r: int) -> np.ndarray:
-    """(N,C,H,W) -> (N,C*r*r,H/r,W/r) as a C-contiguous array."""
+def _unshuffle(x: np.ndarray) -> np.ndarray:
+    """(N,C,H,W) -> (N,4C,H/2,W/2) as a C-contiguous array."""
     n, c, h, w = x.shape
-    y = x.reshape(n, c, h // r, r, w // r, r).transpose(0, 1, 3, 5, 2, 4)
-    return np.ascontiguousarray(y.reshape(n, c * r * r, h // r, w // r))
+    y = x.reshape(n, c, h // 2, 2, w // 2, 2).transpose(0, 1, 3, 5, 2, 4)
+    return np.ascontiguousarray(y.reshape(n, 4 * c, h // 2, w // 2))
 
 
-def _shuffle(x: np.ndarray, r: int) -> np.ndarray:
-    """(N,C,H,W) -> (N,C/r^2,H*r,W*r) as a C-contiguous array; undoes ``_unshuffle``."""
+def _shuffle(x: np.ndarray) -> np.ndarray:
+    """(N,C,H,W) -> (N,C/4,2H,2W) as a C-contiguous array; undoes ``_unshuffle``."""
     n, c, h, w = x.shape
-    y = x.reshape(n, c // (r * r), r, r, h, w).transpose(0, 1, 4, 2, 5, 3)
-    return np.ascontiguousarray(y.reshape(n, c // (r * r), h * r, w * r))
+    y = x.reshape(n, c // 4, 2, 2, h, w).transpose(0, 1, 4, 2, 5, 3)
+    return np.ascontiguousarray(y.reshape(n, c // 4, 2 * h, 2 * w))
 
 
-def pixel_unshuffle(a: Tensor, r: int) -> Tensor:
-    """(N,C,H,W) -> (N,C*r*r,H/r,W/r); block (dy,dx) lands at channel c*r*r + dy*r + dx."""
-    if r < 1:
-        raise ValueError("r must be >= 1")
+def pixel_unshuffle(a: Tensor) -> Tensor:
+    """(N,C,H,W) -> (N,4C,H/2,W/2); block (dy,dx) lands at channel 4c + 2dy + dx."""
     _, _, h, w = _nchw(a, "pixel_unshuffle")
-    if h % r or w % r:
-        raise ShapeError(f"spatial extents {h}x{w} not divisible by r={r}")
-    out = Tensor(_unshuffle(a.data, r))
-    return out._record((a,), lambda g: (_shuffle(g, r),))
+    if h % 2 or w % 2:
+        raise ShapeError(f"spatial extents {h}x{w} not divisible by 2")
+    out = Tensor(_unshuffle(a.data))
+    return out._record((a,), lambda g: (_shuffle(g),))
 
 
-def pixel_shuffle(a: Tensor, r: int) -> Tensor:
-    """(N,C,H,W) -> (N,C/r^2,H*r,W*r); exact inverse of pixel_unshuffle."""
-    if r < 1:
-        raise ValueError("r must be >= 1")
+def pixel_shuffle(a: Tensor) -> Tensor:
+    """(N,C,H,W) -> (N,C/4,2H,2W); exact inverse of pixel_unshuffle."""
     _, c, _, _ = _nchw(a, "pixel_shuffle")
-    if c % (r * r):
-        raise ShapeError(f"channel extent {c} not divisible by r^2={r * r}")
-    out = Tensor(_shuffle(a.data, r))
-    return out._record((a,), lambda g: (_unshuffle(g, r),))
+    if c % 4:
+        raise ShapeError(f"channel extent {c} not divisible by 4")
+    out = Tensor(_shuffle(a.data))
+    return out._record((a,), lambda g: (_unshuffle(g),))
 
 
 # -- convolution ----------------------------------------------------------------
 
 
-def _conv_out_extent(h: int, k: int, stride: int, padding: int) -> int:
-    out = (h + 2 * padding - k) // stride + 1
-    if out < 1:
-        raise ShapeError(f"convolution over extent {h} with k={k}, stride={stride}, "
-                         f"padding={padding} yields empty output")
-    return out
-
-
-def _pad_and_taps(x: np.ndarray, k: int, stride: int, padding: int, ho: int, wo: int):
-    """``x`` zero-padded on its last two axes and, per tap in row-major
-    order, the index of the strided (..., Ho, Wo) window that tap reads."""
+def _pad_and_taps(x: np.ndarray, k: int, stride: int, ho: int, wo: int):
+    """``x`` zero-padded by k // 2 on its last two axes and, per tap in
+    row-major order, the index of the strided (..., Ho, Wo) window that tap reads."""
     *lead, h, wid = x.shape
+    p = k // 2
     xp = x
-    if padding:
-        xp = np.zeros((*lead, h + 2 * padding, wid + 2 * padding), dtype=x.dtype)
-        xp[..., padding:padding + h, padding:padding + wid] = x
+    if p:
+        xp = np.zeros((*lead, h + 2 * p, wid + 2 * p), dtype=x.dtype)
+        xp[..., p:p + h, p:p + wid] = x
     return xp, [(..., slice(di, di + stride * ho, stride), slice(dj, dj + stride * wo, stride))
                 for di in range(k) for dj in range(k)]
 
 
-def _conv_matmul(x: np.ndarray, w: np.ndarray, stride: int, padding: int, ho: int, wo: int):
+def _conv_matmul(x: np.ndarray, w: np.ndarray, stride: int, ho: int, wo: int):
     """Dense conv as one matmul over the k*k taps of its narrower side.
 
     Windows (k == 1 or C_in <= C_out, im2col): (C_out, C_in*k*k) @ the
-    stacked tap windows of x, or x itself if 1x1, stride 1 and unpadded.
+    stacked tap windows of x, or x itself if 1x1 and stride 1.
     Planes (col2im): (k*k*C_out, C_in) @ x is a plane per tap; each padded
     plane is read at its tap's window and summed. The backward places g in
     those windows, so its tape keeps the reshaped weight and shapes only.
     """
     n, c_in, h, wid = x.shape
     c_out, _, k, _ = w.shape
+    p = k // 2
     if k == 1 or c_in <= c_out:
-        xp, taps = _pad_and_taps(x, k, stride, padding, ho, wo)
+        xp, taps = _pad_and_taps(x, k, stride, ho, wo)
         padded = xp.shape
-        whole = k == 1 and stride == 1 and padding == 0
+        whole = k == 1 and stride == 1
         cols = xp if whole else np.stack([xp[at] for at in taps], axis=2)
         cols = cols.reshape(n, c_in * k * k, ho * wo)
         w2 = w.reshape(c_out, c_in * k * k)
@@ -578,11 +561,11 @@ def _conv_matmul(x: np.ndarray, w: np.ndarray, stride: int, padding: int, ho: in
             gxp = np.zeros(padded, dtype=x.dtype)
             for t, at in enumerate(taps):
                 gxp[at] += gcols[:, :, t]
-            return gxp[:, :, padding:padding + h, padding:padding + wid], gw
+            return gxp[:, :, p:p + h, p:p + wid], gw
     else:
         w2 = w.transpose(2, 3, 0, 1).reshape(k * k * c_out, c_in)
         planes = np.matmul(w2, x.reshape(n, c_in, h * wid)).reshape(n, k * k, c_out, h, wid)
-        planes, taps = _pad_and_taps(planes, k, stride, padding, ho, wo)
+        planes, taps = _pad_and_taps(planes, k, stride, ho, wo)
         padded = planes.shape
         out = sum(planes[:, t][at] for t, at in enumerate(taps))
 
@@ -590,7 +573,7 @@ def _conv_matmul(x: np.ndarray, w: np.ndarray, stride: int, padding: int, ho: in
             gp = np.zeros(padded, dtype=x.dtype)
             for t, at in enumerate(taps):
                 gp[:, t][at] = g
-            gp = gp[..., padding:padding + h, padding:padding + wid].reshape(n, -1, h * wid)
+            gp = gp[..., p:p + h, p:p + wid].reshape(n, -1, h * wid)
             gw = np.matmul(gp, x.reshape(n, c_in, h * wid).transpose(0, 2, 1)).sum(axis=0)
             return (np.matmul(w2.T, gp).reshape(x.shape),
                     gw.reshape(k, k, c_out, c_in).transpose(2, 3, 0, 1))
@@ -627,18 +610,19 @@ def _tap_spectrum(w: np.ndarray, lag: np.ndarray, s: tuple) -> np.ndarray:
     return rows.reshape(s[0], c, m).transpose(1, 0, 2)
 
 
-def _conv_dw_fft(x: np.ndarray, w: np.ndarray, pad: int):
-    """Depth-wise, stride 1, same padding, as products of 2-D spectra.
+def _conv_dw_fft(x: np.ndarray, w: np.ndarray):
+    """Depth-wise, stride 1, as products of 2-D spectra.
 
-    Each transform spans the kernel and at least (H+pad) x (W+pad), so
-    the circular wrap-around of every tap lands in zero padding. Tap a
-    sits at offset pad - a, so output (i, j) is read at (i, j). Channels
-    go through in blocks of about _FFT_BLOCK spectrum values, so the
-    spectra held at any time stay small beside the output; the backward
-    recomputes them rather than keep any on the tape.
+    With pad = k // 2, each transform spans the kernel and at least
+    (H+pad) x (W+pad), so the circular wrap-around of every tap lands in
+    zero padding. Tap a sits at offset pad - a, so output (i, j) is read
+    at (i, j). Channels go through in blocks of about _FFT_BLOCK spectrum
+    values, so the spectra held at any time stay small beside the output;
+    the backward recomputes them rather than keep any on the tape.
     """
     n, c, h, wid = x.shape
     k = w.shape[-1]
+    pad = k // 2
     s = tuple(next_fast_len(max(e + pad, k), real=True) for e in (h, wid))
     lag = pad - np.arange(k)
     step = max(1, _FFT_BLOCK // (n * s[0] * (s[1] // 2 + 1)))
@@ -667,42 +651,45 @@ def _conv_dw_fft(x: np.ndarray, w: np.ndarray, pad: int):
     return out, bw
 
 
-def _conv_taps(x: np.ndarray, w: np.ndarray, stride: int, padding: int, ho: int, wo: int):
+def _conv_taps(x: np.ndarray, w: np.ndarray, stride: int, ho: int, wo: int):
     """Depth-wise conv as a sum over its k*k taps, in the tensor's dtype.
     The backward pads ``x`` again rather than keep a padded copy on the tape."""
     n, c, h, wid = x.shape
     k = w.shape[-1]
+    p = k // 2
     wt = w.reshape(c, k * k, 1, 1)
-    xp, taps = _pad_and_taps(x, k, stride, padding, ho, wo)
+    xp, taps = _pad_and_taps(x, k, stride, ho, wo)
     acc = np.zeros((n, c, ho, wo), dtype=x.dtype)
     tmp = np.empty_like(acc)
     for t, at in enumerate(taps):
         acc += np.multiply(xp[at], wt[:, t], out=tmp)
 
     def bw(g):
-        xp, _ = _pad_and_taps(x, k, stride, padding, ho, wo)
+        xp, _ = _pad_and_taps(x, k, stride, ho, wo)
         gxp = np.zeros(xp.shape, dtype=x.dtype)
         gw = np.empty((c, k * k), dtype=w.dtype)
         tmp = np.empty(g.shape, dtype=x.dtype)
         for t, at in enumerate(taps):
             gw[:, t] = np.multiply(g, xp[at], out=tmp).sum(axis=(0, 2, 3))
             gxp[at] += np.multiply(g, wt[:, t], out=tmp)
-        return gxp[:, :, padding:padding + h, padding:padding + wid], gw.reshape(w.shape)
+        return gxp[:, :, p:p + h, p:p + wid], gw.reshape(w.shape)
 
     return acc, bw
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
-           stride: int = 1, padding: int = 0, groups: int = 1) -> Tensor:
-    """2-D convolution (cross-correlation) with square odd kernels.
+           stride: int = 1, groups: int = 1) -> Tensor:
+    """2-D same-padded convolution (cross-correlation) with square odd kernels.
 
-    ``x`` is (N,C_in,H,W); ``weight`` is (C_out, C_in/groups, k, k). Two
-    groupings are supported: dense (groups == 1) and depth-wise
-    (groups == C_in == C_out); any other ``groups`` raises ShapeError.
+    ``x`` is (N,C_in,H,W); ``weight`` is (C_out, C_in/groups, k, k). The
+    input is zero-padded by k // 2 on each side, so the output is
+    (N, C_out, ceil(H/stride), ceil(W/stride)). Two groupings are
+    supported: dense (groups == 1) and depth-wise (groups == C_in ==
+    C_out); any other ``groups`` raises ShapeError.
 
     The kernel follows from the shapes: every dense conv is one matmul
-    (``_conv_matmul``), a depth-wise stride-1 same-padded conv with k >= 5
-    runs through an FFT, and any other depth-wise conv loops over its k*k
+    (``_conv_matmul``), a depth-wise stride-1 conv with k >= 5 runs
+    through an FFT, and any other depth-wise conv loops over its k*k
     taps. The kernels all compute in the tensor's dtype, so f64 stays
     exact enough for gradcheck and f32 sums in f32. The bias is added here,
     once, onto the fresh array the kernel returns."""
@@ -713,8 +700,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     c_out, c_in_g, k, _ = weight.shape
     if k % 2 == 0:
         raise ShapeError(f"kernel extent must be odd, got {k}")
-    if stride < 1 or padding < 0 or groups < 1:
-        raise ValueError("stride >= 1, padding >= 0, groups >= 1 required")
+    if stride < 1 or groups < 1:
+        raise ValueError("stride >= 1 and groups >= 1 required")
     if groups != 1 and not (groups == c_in == c_out):
         raise ShapeError(f"groups={groups} is neither 1 nor depth-wise for channels "
                          f"{c_in}->{c_out}")
@@ -722,15 +709,14 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
         raise ShapeError(f"weight expects {c_in_g * groups} input channels, input has {c_in}")
     if bias is not None and bias.shape != (c_out,):
         raise ShapeError(f"bias shape {bias.shape} does not match {c_out} output channels")
-    ho = _conv_out_extent(h, k, stride, padding)
-    wo = _conv_out_extent(w, k, stride, padding)
+    ho, wo = (h - 1) // stride + 1, (w - 1) // stride + 1
 
     if groups == 1:
-        out_data, kernel_bw = _conv_matmul(x.data, weight.data, stride, padding, ho, wo)
-    elif stride == 1 and k >= 5 and 2 * padding == k - 1:
-        out_data, kernel_bw = _conv_dw_fft(x.data, weight.data, padding)
+        out_data, kernel_bw = _conv_matmul(x.data, weight.data, stride, ho, wo)
+    elif stride == 1 and k >= 5:
+        out_data, kernel_bw = _conv_dw_fft(x.data, weight.data)
     else:
-        out_data, kernel_bw = _conv_taps(x.data, weight.data, stride, padding, ho, wo)
+        out_data, kernel_bw = _conv_taps(x.data, weight.data, stride, ho, wo)
     if bias is not None:
         out_data += bias.data[None, :, None, None]
     out = Tensor(out_data)

@@ -52,7 +52,7 @@ class TrainConfig:
             raise ValueError(f"max_steps must be None or a positive integer, got {steps!r}")
 
 
-def cosine_lr(fraction: float, lr_max: float = 1e-3, lr_min: float = 1e-7) -> float:
+def cosine_lr(fraction: float, lr_max: float, lr_min: float) -> float:
     """Annealed rate at a position inside one restart period (0 = fresh start)."""
     if not 0.0 <= fraction <= 1.0:
         raise ValueError("fraction must lie in [0, 1]")
@@ -100,8 +100,8 @@ class Adam:
 # -- data plumbing ----------------------------------------------------------------
 
 
-def normalize(hu: np.ndarray) -> np.ndarray:
-    return (hu * NORM_SCALE).astype(np.float32)
+def normalize(hu: np.ndarray, dtype: np.dtype) -> np.ndarray:
+    return (hu * NORM_SCALE).astype(dtype)
 
 
 def denormalize(x: np.ndarray) -> np.ndarray:
@@ -148,8 +148,9 @@ def train(model: MARNet, data_dir: Union[str, Path], cfg: TrainConfig,
     loss CSV plus a checkpoint refreshed at every epoch end.
     """
     pairs = load_split(data_dir, "train")
-    inputs = np.stack([normalize(ma) for _, ma, _ in pairs])[:, None]
-    targets = np.stack([normalize(clean) for _, _, clean in pairs])[:, None]
+    dtype = model.intro.weight.data.dtype
+    inputs = np.stack([normalize(ma, dtype) for _, ma, _ in pairs])[:, None]
+    targets = np.stack([normalize(clean, dtype) for _, _, clean in pairs])[:, None]
 
     rng = np.random.default_rng(cfg.seed)
     adam = Adam(model.params())
@@ -211,13 +212,17 @@ class MetricsReport:
 
 
 def restore_slice(model: MARNet, hu: np.ndarray) -> np.ndarray:
-    """Run one HU slice through the model, recording no tape; returns HU."""
-    if not np.isfinite(hu).all():
+    """Run one (H,W) HU slice through the model in its parameter dtype,
+    recording no tape; returns HU. ValueError if the normalized slice or
+    the restored one is not finite."""
+    x = normalize(hu, model.intro.weight.data.dtype)
+    if not np.isfinite(x).all():
         raise ValueError("slice has non-finite values")
-    x = Tensor(normalize(hu)[None])
     with no_grad():
-        out = model.forward(x)
-    return denormalize(out.data[0])
+        out = model.forward(Tensor(x[None, None])).data[0, 0]
+    if not np.isfinite(out).all():
+        raise ValueError("restored slice has non-finite values")
+    return denormalize(out)
 
 
 def evaluate(model: MARNet, data_dir: Union[str, Path], split: str = "test") -> MetricsReport:
@@ -267,7 +272,7 @@ def gradient_check(seed: int = 0, n_samples: int = 50) -> dict:
     # the head is built zeroed (identity restorer), which would block
     # gradient flow to everything upstream; move off that point first
     model.outro.initialize(rng, "f64")
-    x_data = rng.normal(size=(1, 16, 16))
+    x_data = rng.normal(size=(1, 1, 16, 16))
     # keep residuals away from the L1 kink so the oracle stays smooth
     target_data = x_data + rng.choice([-1.0, 1.0], size=x_data.shape) * \
         rng.uniform(0.5, 1.5, size=x_data.shape)

@@ -197,7 +197,7 @@ def test_criterion_7_identity_at_init():
     for name in ("L", "B", "T"):
         model = build_model(preset(name), seed=9)
         for _ in range(3):
-            x = Tensor(rng.normal(size=(1, 64, 64)).astype(np.float32) * 500.0)
+            x = Tensor(rng.normal(size=(1, 1, 64, 64)).astype(np.float32) * 500.0)
             ok &= bool(np.array_equal(model.forward(x).data, x.data))
     report(7, "identity at initialization (bit-exact, all presets)", ok)
 
@@ -211,8 +211,8 @@ def test_criterion_8_overfit_smoke(overfit_dataset):
     def train_set_l1(m):
         total = 0.0
         for _, ma, clean in pairs:
-            pred = m.forward(Tensor(normalize(ma)[None]))
-            total += float(np.abs(pred.data[0] - normalize(clean)).mean())
+            pred = m.forward(Tensor(normalize(ma, np.float32)[None, None]))
+            total += float(np.abs(pred.data[0, 0] - normalize(clean, np.float32)).mean())
         return total / len(pairs)
 
     initial_l1 = train_set_l1(model)
@@ -252,7 +252,7 @@ def sawtooth_curve(n_steps: int, period: int, decay: float) -> list:
     curve = []
     for i in range(n_steps):
         cycle, pos = divmod(i, period)
-        lr = cosine_lr(pos / period)
+        lr = cosine_lr(pos / period, 1e-3, 1e-7)
         curve.append(CurvePoint(step=i + 1, epoch=i // 3, lr=lr,
                                 loss=decay ** cycle * (0.2 + lr / 1e-3)))
     return curve
@@ -272,7 +272,7 @@ def test_criterion_9_simulator_sanity(overfit_dataset):
     phantom = smooth_phantom(128, seed=5)
     mu = hu_to_mu(phantom)
     sino = radon_forward(mu, SimParams(n_angles=360), phantom.spacing)
-    recon = mu_to_hu(fbp_reconstruct(sino, 128, 128))
+    recon = mu_to_hu(fbp_reconstruct(sino, 128))
     roundtrip = metrics.psnr(recon, phantom.pixels, 3800.0)
 
     manifest = load_manifest(overfit_dataset)

@@ -7,7 +7,9 @@ import pytest
 
 from ctmar import io as tio
 from ctmar.cli import main
-from ctmar.model import build_model, preset, save_checkpoint
+from ctmar.model import ModelConfig, build_model, preset, save_checkpoint
+
+BASE8 = ModelConfig(base_channels=8, num_blocks=(1, 1, 1, 1), num_heads=(1, 1, 1, 1))
 
 
 def run(capsys, *argv):
@@ -127,6 +129,49 @@ class TestInfer:
         assert len(err.strip().splitlines()) == 1
         assert not dst.exists()
 
+    def test_non_finite_output_rejected(self, tmp_path, capsys):
+        """A checkpoint whose head bias is NaN loads (its CRC is valid), but
+        the slice it restores is all NaN: no file, one error line."""
+        model = build_model(BASE8, seed=1)
+        model.outro.bias.data[:] = np.nan
+        ckpt = tmp_path / "nan.mckp"
+        save_checkpoint(model, ckpt)
+        src, dst = tmp_path / "in.mtsr", tmp_path / "out.mtsr"
+        tio.save_tensor(src, np.zeros((32, 32), dtype=np.float32))
+        code, _, err = run(capsys, "infer", "--ckpt", str(ckpt), "--input", str(src),
+                           "--output", str(dst))
+        assert code == 1
+        assert err.startswith("error:") and "restored slice has non-finite" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not dst.exists()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_f64_checkpoint_restores_bit_exactly(self, tmp_path, capsys, dtype):
+        """A float64 model takes the slice in float64; untrained, it is the identity."""
+        ckpt = tmp_path / "f64.mckp"
+        save_checkpoint(build_model(BASE8, seed=1, dtype="f64"), ckpt)
+        slice_hu = np.random.default_rng(3).uniform(-1000.0, 2800.0, (32, 24)).astype(dtype)
+        src, dst = tmp_path / "in.mtsr", tmp_path / "out.mtsr"
+        tio.save_tensor(src, slice_hu)
+        code, _, err = run(capsys, "infer", "--ckpt", str(ckpt), "--input", str(src),
+                           "--output", str(dst))
+        assert code == 0, err
+        restored = tio.load_tensor(dst)
+        assert restored.dtype == dtype
+        np.testing.assert_array_equal(restored, slice_hu)
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 8)])
+    def test_empty_slice_rejected(self, tmp_path, capsys, shape):
+        ckpt = tmp_path / "t.mckp"
+        save_checkpoint(build_model(BASE8, seed=1), ckpt)
+        src, dst = tmp_path / "in.mtsr", tmp_path / "out.mtsr"
+        tio.save_tensor(src, np.zeros(shape, dtype=np.float32))
+        code, _, err = run(capsys, "infer", "--ckpt", str(ckpt), "--input", str(src),
+                           "--output", str(dst))
+        assert code == 1
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert not dst.exists()
+
 
 class TestEvalAndTrain:
     def test_train_then_eval(self, tmp_path, capsys):
@@ -214,6 +259,20 @@ class TestEvalAndTrain:
         ckpt = tmp_path / "t.mckp"
         save_checkpoint(build_model(preset("T"), seed=1), ckpt)
         return ds, ckpt
+
+    def test_eval_non_finite_output_rejected(self, tmp_path, capsys):
+        """A NaN head bias restores every slice to NaN; eval names the first pair
+        instead of printing NaN metrics."""
+        ds, _ = self._dataset_and_checkpoint(tmp_path, capsys)
+        model = build_model(BASE8, seed=1)
+        model.outro.bias.data[:] = np.nan
+        ckpt = tmp_path / "nan.mckp"
+        save_checkpoint(model, ckpt)
+        code, out, err = run(capsys, "eval", "--ckpt", str(ckpt), "--data", str(ds))
+        assert code == 1
+        assert err.startswith(f"error: {ds} pair 0002:") and "non-finite" in err
+        assert len(err.strip().splitlines()) == 1
+        assert "mean," not in out and "0002," not in out
 
     def test_eval_non_finite_clean_slice_rejected(self, tmp_path, capsys):
         ds, ckpt = self._dataset_and_checkpoint(tmp_path, capsys)

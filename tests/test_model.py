@@ -35,9 +35,8 @@ from ctmar.train import normalize, restore_slice
 TINY = ModelConfig(base_channels=8, num_blocks=(1, 1, 1, 1), num_heads=(1, 1, 1, 1))
 
 
-def rand_image(rng, h=16, w=16, batch=False, dtype=np.float32):
-    shape = (1, 1, h, w) if batch else (1, h, w)
-    return Tensor(rng.normal(size=shape).astype(dtype))
+def rand_image(rng, h=16, w=16, dtype=np.float32):
+    return Tensor(rng.normal(size=(1, 1, h, w)).astype(dtype))
 
 
 class TestConfig:
@@ -156,7 +155,7 @@ class TestChannelAttention:
         q, k, v = attn.project_qkv(x)
         scale = texp(-attn.temperature) * (1.0 / math.sqrt(q.shape[-1]))
         scores = matmul(q, transpose(k, (0, 1, 3, 2))) * scale
-        a = softmax(scores, axis=-1)
+        a = softmax(scores)
         assert a.shape == (1, 2, 8, 4)
         np.testing.assert_allclose(a.data.sum(axis=-1), 1.0, atol=1e-6)
 
@@ -318,8 +317,8 @@ class TestMARNet:
     def test_shape_preserved_standard_extents(self, extent):
         model = build_model(TINY, seed=0)
         rng = np.random.default_rng(12)
-        x = Tensor(rng.normal(size=(1, extent, extent)).astype(np.float32))
-        assert model.forward(x).shape == (1, extent, extent)
+        x = Tensor(rng.normal(size=(1, 1, extent, extent)).astype(np.float32))
+        assert model.forward(x).shape == (1, 1, extent, extent)
 
     def test_head_schedule_does_not_change_shape(self):
         rng = np.random.default_rng(12)
@@ -330,13 +329,22 @@ class TestMARNet:
             assert out.shape == x.shape
 
     def test_indivisible_input_rejected(self):
+        """Extents must be positive multiples of 8: 20, 0 and 0x8 are refused."""
         model = build_model(TINY, seed=0)
-        with pytest.raises(ShapeError):
-            model.forward(Tensor(np.zeros((1, 20, 20), dtype=np.float32)))
+        for shape in [(1, 1, 20, 20), (1, 1, 0, 0), (1, 1, 0, 8), (2, 1, 8, 0)]:
+            with pytest.raises(ShapeError):
+                model.forward(Tensor(np.zeros(shape, dtype=np.float32)))
+
+    def test_rank3_input_rejected(self):
+        """forward takes (N,1,H,W) only: a (1,H,W) slice or a 2-channel batch is refused."""
+        model = build_model(TINY, seed=0)
+        for shape in [(1, 16, 16), (1, 2, 16, 16), (16, 16)]:
+            with pytest.raises(ShapeError):
+                model.forward(Tensor(np.zeros(shape, dtype=np.float32)))
 
     def test_zero_input_response_repeatable(self):
         model = build_model(TINY, seed=5)
-        zero = Tensor(np.zeros((1, 16, 16), dtype=np.float32))
+        zero = Tensor(np.zeros((1, 1, 16, 16), dtype=np.float32))
         first = model.forward(zero).data
         second = model.forward(zero).data
         np.testing.assert_array_equal(first, second)
@@ -406,7 +414,8 @@ class TestNoGradInference:
     def test_restore_slice_peak_memory_below_half_of_recording(self, traced_memory):
         model = t_with_drawn_head(6)
         hu = np.random.default_rng(17).uniform(-1000, 2800, size=(64, 64))
-        recording = traced_memory(lambda: model.forward(Tensor(normalize(hu)[None])))[2]
+        x = normalize(hu, np.float32)[None, None]
+        recording = traced_memory(lambda: model.forward(Tensor(x)))[2]
         tape_free = traced_memory(lambda: restore_slice(model, hu))[2]
         assert tape_free < 0.5 * recording, (tape_free, recording)
 
@@ -646,8 +655,8 @@ class TestGradientIntegrity:
         # move the zeroed head off the identity point so gradients reach
         # every upstream parameter
         model.outro.weight.data = rng.normal(size=model.outro.weight.shape) * 0.2
-        x = Tensor(rng.normal(size=(1, 8, 8)))
-        target = Tensor(rng.normal(size=(1, 8, 8)) + 2.0)
+        x = Tensor(rng.normal(size=(1, 1, 8, 8)))
+        target = Tensor(rng.normal(size=(1, 1, 8, 8)) + 2.0)
 
         loss = tmean(tabs(model.forward(x) - target))
         loss.backward()

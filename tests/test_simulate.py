@@ -218,22 +218,22 @@ class TestRadonForward:
 class TestFBP:
     def test_zero_sinogram(self):
         sino = Sinogram(values=np.zeros((16, 40)), spacing=1.0)
-        np.testing.assert_array_equal(fbp_reconstruct(sino, 24, 24), 0.0)
+        np.testing.assert_array_equal(fbp_reconstruct(sino, 24), 0.0)
 
     def test_linearity(self):
         rng = np.random.default_rng(2)
         s1 = rng.random((16, 40))
         s2 = rng.random((16, 40))
-        left = fbp_reconstruct(Sinogram(2.0 * s1 + 0.5 * s2, 1.0), 24, 24)
-        right = (2.0 * fbp_reconstruct(Sinogram(s1, 1.0), 24, 24)
-                 + 0.5 * fbp_reconstruct(Sinogram(s2, 1.0), 24, 24))
+        left = fbp_reconstruct(Sinogram(2.0 * s1 + 0.5 * s2, 1.0), 24)
+        right = (2.0 * fbp_reconstruct(Sinogram(s1, 1.0), 24)
+                 + 0.5 * fbp_reconstruct(Sinogram(s2, 1.0), 24))
         np.testing.assert_allclose(left, right, atol=1e-10)
 
     def test_roundtrip_psnr_on_smooth_phantom(self):
         phantom = smooth_phantom(128, seed=3)
         mu = hu_to_mu(phantom)
         sino = radon_forward(mu, SimParams(n_angles=360), phantom.spacing)
-        recon = fbp_reconstruct(sino, 128, 128)
+        recon = fbp_reconstruct(sino, 128)
         assert psnr(mu_to_hu(recon), phantom.pixels, HU_MAX - HU_MIN) >= 30.0
 
     def test_constant_disk_level_recovered(self):
@@ -242,7 +242,7 @@ class TestFBP:
         c = (size - 1) / 2
         disk = (((ys - c) ** 2 + (xs - c) ** 2) <= 20 ** 2) * 0.02
         sino = radon_forward(disk, SimParams(n_angles=180), 1.25)
-        recon = fbp_reconstruct(sino, size, size)
+        recon = fbp_reconstruct(sino, size)
         inner = ((ys - c) ** 2 + (xs - c) ** 2) <= 14 ** 2
         assert abs(recon[inner].mean() - 0.02) < 0.0005
 
@@ -251,24 +251,23 @@ class TestSimulateMAPair:
     def test_no_metal_no_hardening_is_roundtrip(self):
         phantom = smooth_phantom(64, seed=4)
         # with an empty mask the beam hardening never runs
-        ma, clean = simulate_ma_pair(phantom, np.zeros((64, 64), bool), SimParams())
-        assert clean is phantom
-        assert psnr(ma.pixels, clean.pixels, HU_MAX - HU_MIN) >= 30.0
+        ma = simulate_ma_pair(phantom, np.zeros((64, 64), bool), SimParams())
+        assert psnr(ma.pixels, phantom.pixels, HU_MAX - HU_MIN) >= 30.0
 
     def test_metal_produces_streaks_outside_mask(self):
         rng = np.random.default_rng(5)
         phantom = jaw_phantom(64, rng)
         mask = random_metal_mask(phantom, rng)
-        ma, clean = simulate_ma_pair(phantom, mask, SimParams())
-        diff = ma.pixels - clean.pixels
+        ma = simulate_ma_pair(phantom, mask, SimParams())
+        diff = ma.pixels - phantom.pixels
         assert diff[~mask].std() > 0.0
-        assert psnr(ma.pixels, clean.pixels, HU_MAX - HU_MIN) < 35.0
+        assert psnr(ma.pixels, phantom.pixels, HU_MAX - HU_MIN) < 35.0
 
     def test_mask_pixels_saturate_window(self):
         rng = np.random.default_rng(6)
         phantom = jaw_phantom(64, rng)
         mask = random_metal_mask(phantom, rng)
-        ma, _ = simulate_ma_pair(phantom, mask, SimParams())
+        ma = simulate_ma_pair(phantom, mask, SimParams())
         assert (ma.pixels[mask] >= 2800.0).all()
         assert ma.pixels.max() <= HU_MAX
         assert ma.pixels.min() >= HU_MIN

@@ -1,5 +1,6 @@
 """Forward-semantics tests for the tensor core, oracle values first."""
 
+import itertools
 import math
 import weakref
 
@@ -44,7 +45,8 @@ GELU_ORACLE = {
 
 
 def conv2d_reference(x, w, b=None, stride=1, padding=0, groups=1):
-    """Direct six-nested-loop convolution, the independent oracle."""
+    """Direct six-nested-loop convolution, the independent oracle. It takes
+    the padding explicitly; conv2d must match it at padding k // 2."""
     n, c_in, h, wid = x.shape
     c_out, c_in_g, k, _ = w.shape
     ho = (h + 2 * padding - k) // stride + 1
@@ -105,7 +107,7 @@ class TestConv2d:
         x = Tensor(np.zeros((2, 4, 6, 6), dtype=np.float32))
         w = Tensor(rng.normal(size=(3, 4, 3, 3)).astype(np.float32))
         b = Tensor(np.array([1.5, -2.0, 0.25], dtype=np.float32))
-        out = conv2d(x, w, b, padding=1)
+        out = conv2d(x, w, b)
         for c, val in enumerate([1.5, -2.0, 0.25]):
             assert np.allclose(out.data[:, c], val)
 
@@ -113,14 +115,14 @@ class TestConv2d:
         rng = np.random.default_rng(7)
         x = rng.normal(size=(1, 1, 4, 4))
         w = rng.normal(size=(2, 1, 3, 3))
-        out = conv2d(Tensor(x), Tensor(w), stride=2, padding=1)
+        out = conv2d(Tensor(x), Tensor(w), stride=2)
         ref = conv2d_reference(x, w, stride=2, padding=1)
         np.testing.assert_allclose(out.data, ref, rtol=1e-12)
 
     @pytest.mark.parametrize("shape,cout,k,stride,padding,groups", [
         ((2, 4, 8, 8), 6, 3, 1, 1, 1),
         ((1, 6, 10, 10), 6, 3, 2, 1, 6),
-        ((2, 8, 9, 9), 8, 3, 2, 0, 8),
+        ((2, 8, 9, 9), 8, 1, 2, 0, 8),
         ((4, 8, 16, 16), 8, 5, 1, 2, 1),
         ((1, 3, 7, 7), 5, 1, 1, 0, 1),
     ])
@@ -129,16 +131,22 @@ class TestConv2d:
         x = rng.normal(size=shape)
         w = rng.normal(size=(cout, shape[1] // groups, k, k))
         b = rng.normal(size=cout)
-        out = conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride,
-                     padding=padding, groups=groups)
+        out = conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride, groups=groups)
         ref = conv2d_reference(x, w, b, stride=stride, padding=padding, groups=groups)
         np.testing.assert_allclose(out.data, ref, rtol=1e-10, atol=1e-12)
 
     def test_output_extent_law(self):
-        x = Tensor(np.zeros((1, 3, 11, 15), dtype=np.float32))
-        w = Tensor(np.zeros((2, 3, 3, 3), dtype=np.float32))
-        out = conv2d(x, w, stride=2, padding=1)
-        assert out.shape == (1, 2, (11 + 2 - 3) // 2 + 1, (15 + 2 - 3) // 2 + 1)
+        """Same padding: every kernel path gives ceil(H/stride) x ceil(W/stride)."""
+        paths = [(3, 2, 3, 1),      # dense, output planes
+                 (2, 3, 3, 1),      # dense, stacked windows
+                 (3, 2, 1, 1),      # dense 1x1
+                 (3, 3, 3, 3),      # depth-wise tap loop
+                 (3, 3, 7, 3)]      # depth-wise, FFT at stride 1, tap loop when strided
+        for (c_in, c_out, k, groups), stride in itertools.product(paths, (1, 2, 3)):
+            x = Tensor(np.zeros((1, c_in, 11, 15), dtype=np.float32))
+            w = Tensor(np.zeros((c_out, c_in // groups, k, k), dtype=np.float32))
+            out = conv2d(x, w, stride=stride, groups=groups)
+            assert out.shape == (1, c_out, math.ceil(11 / stride), math.ceil(15 / stride))
 
     def test_bad_groups_rejected(self):
         """groups=2 is neither dense nor depth-wise, whether or not it divides C_in."""
@@ -148,18 +156,17 @@ class TestConv2d:
             with pytest.raises(ShapeError):
                 conv2d(x, w, groups=2)
 
-    @pytest.mark.parametrize("c_in,c_out,k,stride,padding", [
-        pytest.param(3, 5, 1, 1, 0, id="1x1-widening"),
-        pytest.param(5, 3, 1, 1, 0, id="1x1-narrowing"),
-        *[pytest.param(c_in, c_out, 3, s, p, id=f"{name}-stride{s}-pad{p}")
+    @pytest.mark.parametrize("c_in,c_out,k,stride", [
+        pytest.param(3, 5, 1, 1, id="1x1-widening"),
+        pytest.param(5, 3, 1, 1, id="1x1-narrowing"),
+        *[pytest.param(c_in, c_out, 2 * p + 1, s, id=f"{name}-stride{s}-pad{p}")
           for name, c_in, c_out in [("intro", 1, 9), ("outro", 3, 1)]
           for s in (1, 2) for p in (0, 1)],
     ])
-    def test_dense_convs_never_reach_tap_loop(self, monkeypatch, c_in, c_out, k, stride,
-                                              padding):
+    def test_dense_convs_never_reach_tap_loop(self, monkeypatch, c_in, c_out, k, stride):
         """Every groups == 1 conv runs as one matmul, in both directions: 1x1
-        widening and narrowing, the intro's shape (1 -> 9) and the outro's
-        (3 -> 1) at stride 1 and 2, padding 0 and 1."""
+        widening and narrowing, the intro's channels (1 -> 9) and the outro's
+        (3 -> 1) at stride 1 and 2, with k = 1 (padding 0) and k = 3 (padding 1)."""
         def refuse(*args, **kwargs):
             raise AssertionError("dense conv reached the tap loop")
 
@@ -167,7 +174,7 @@ class TestConv2d:
         rng = np.random.default_rng(5)
         x = Tensor(rng.normal(size=(2, c_in, 7, 6)).astype(np.float32), requires_grad=True)
         w = Tensor(rng.normal(size=(c_out, c_in, k, k)).astype(np.float32), requires_grad=True)
-        tmean(conv2d(x, w, stride=stride, padding=padding)).backward()
+        tmean(conv2d(x, w, stride=stride)).backward()
         assert x.grad.shape == x.shape and w.grad.shape == w.shape
 
     def test_even_kernel_rejected(self):
@@ -177,9 +184,9 @@ class TestConv2d:
             conv2d(x, w)
 
 
-def _case(kind, n, c_in, c_out, h, w, k, stride, padding, dtype="f32", bias=True, seed=0):
+def _case(kind, n, c_in, c_out, h, w, k, stride, dtype="f32", bias=True, seed=0):
     return dict(kind=kind, n=n, c_in=c_in, c_out=c_out, h=h, w=w, k=k, stride=stride,
-                padding=padding, dtype=dtype, bias=bias, seed=seed)
+                dtype=dtype, bias=bias, seed=seed)
 
 
 @st.composite
@@ -188,8 +195,8 @@ def conv_cases(draw, kind):
     "dense3x3_windows" (3x3 with C_in <= C_out, as the intro: one matmul
     over the stacked input windows), "dense3x3_planes" (3x3 with
     C_in > C_out, as the outro: one matmul giving an output plane per
-    tap), "dw_fft" (depth-wise, stride 1, same padding, k in {5, 7}) or
-    "dw_taps" (depth-wise, strided or not same-padded, on the tap loop).
+    tap), "dw_fft" (depth-wise, stride 1, k in {5, 7}) or "dw_taps"
+    (depth-wise, strided or k = 3, on the tap loop).
     A 1-channel depth-wise conv is also dense and runs as a matmul, so the
     depth-wise kinds, like the planes kind, draw at least 2 channels."""
     c = draw(st.integers(1 if kind in ("dense1x1", "dense3x3_windows") else 2, 3))
@@ -202,19 +209,16 @@ def conv_cases(draw, kind):
     else:
         c_out = c
     if kind == "dense1x1":
-        k, stride, padding = 1, 1, 0
+        k, stride = 1, 1
     elif kind.startswith("dense3x3"):
-        k, stride, padding = 3, draw(st.integers(1, 2)), draw(st.integers(0, 1))
+        k, stride = 3, draw(st.integers(1, 2))
     elif kind == "dw_fft":
-        k = draw(st.sampled_from([5, 7]))
-        stride, padding = 1, k // 2
+        k, stride = draw(st.sampled_from([5, 7])), 1
     else:
-        k = draw(st.sampled_from([3, 5, 7]))
         stride = draw(st.integers(1, 3))
-        padding = draw(st.integers(0, k // 2 - (stride == 1)))
-    lo = max(1, k - 2 * padding)
+        k = draw(st.sampled_from([3, 5, 7])) if stride > 1 else 3
     return _case(kind, draw(st.integers(1, 2)), c, c_out,
-                 draw(st.integers(lo, 12)), draw(st.integers(lo, 12)), k, stride, padding,
+                 draw(st.integers(1, 12)), draw(st.integers(1, 12)), k, stride,
                  draw(st.sampled_from(["f32", "f64"])), draw(st.booleans()),
                  draw(st.integers(0, 2**32 - 1)))
 
@@ -235,17 +239,17 @@ class TestConv2dProperty:
         self.check(data.draw(conv_cases(kind)))
 
     @pytest.mark.parametrize("case", [
-        _case("dw_fft", 2, 3, 3, 8, 8, 7, 1, 3),
-        _case("dw_fft", 1, 2, 2, 8, 8, 7, 1, 3, dtype="f64"),
-        _case("dw_fft", 2, 2, 2, 5, 11, 7, 1, 3),
-        _case("dw_fft", 2, 3, 3, 12, 7, 7, 1, 3, dtype="f64"),
-        _case("dw_taps", 2, 3, 3, 9, 8, 7, 2, 3),
-        _case("dw_taps", 2, 2, 2, 8, 10, 7, 1, 0, dtype="f64"),
-        _case("dense1x1", 2, 3, 4, 6, 9, 1, 1, 0),
-        _case("dense1x1", 1, 3, 4, 6, 9, 1, 1, 0, dtype="f64"),
-        _case("dense3x3_windows", 2, 1, 9, 9, 8, 3, 1, 1),
-        _case("dense3x3_windows", 1, 2, 18, 7, 9, 3, 2, 1, dtype="f64"),
-        _case("dense3x3_planes", 2, 3, 1, 8, 9, 3, 1, 1),
+        _case("dw_fft", 2, 3, 3, 8, 8, 7, 1),
+        _case("dw_fft", 1, 2, 2, 8, 8, 7, 1, dtype="f64"),
+        _case("dw_fft", 2, 2, 2, 5, 11, 7, 1),
+        _case("dw_fft", 2, 3, 3, 12, 7, 7, 1, dtype="f64"),
+        _case("dw_taps", 2, 3, 3, 9, 8, 7, 2),
+        _case("dw_taps", 2, 2, 2, 8, 10, 1, 1, dtype="f64"),     # k = 1: no padding
+        _case("dense1x1", 2, 3, 4, 6, 9, 1, 1),
+        _case("dense1x1", 1, 3, 4, 6, 9, 1, 1, dtype="f64"),
+        _case("dense3x3_windows", 2, 1, 9, 9, 8, 3, 1),
+        _case("dense3x3_windows", 1, 2, 18, 7, 9, 3, 2, dtype="f64"),
+        _case("dense3x3_planes", 2, 3, 1, 8, 9, 3, 1),
     ], ids=["fft-8x8", "fft-8x8-batch1-f64", "fft-5x11", "fft-12x7-f64",
             "taps-strided-9x8", "taps-unpadded-8x10-f64", "1x1-batch2",
             "1x1-batch1-f64", "3x3-matmul-intro", "3x3-matmul-strided-f64",
@@ -257,8 +261,8 @@ class TestConv2dProperty:
         """The FFT kernel splits wide inputs into channel blocks; one channel
         per block must give the reference results too."""
         monkeypatch.setattr(tensor_module, "_FFT_BLOCK", 1)
-        self.check(_case("dw_fft", 2, 3, 3, 9, 7, 7, 1, 3))
-        self.check(_case("dw_fft", 1, 3, 3, 6, 10, 5, 1, 2, dtype="f64"))
+        self.check(_case("dw_fft", 2, 3, 3, 9, 7, 7, 1))
+        self.check(_case("dw_fft", 1, 3, 3, 6, 10, 5, 1, dtype="f64"))
 
     def check(self, case):
         rng = np.random.default_rng(case["seed"])
@@ -268,12 +272,13 @@ class TestConv2dProperty:
         x = rng.normal(size=(n, c_in, case["h"], case["w"])).astype(dt)
         w = rng.normal(size=(c_out, c_in // groups, k, k)).astype(dt)
         b = rng.normal(size=c_out).astype(dt) if case["bias"] else None
-        kw = dict(stride=case["stride"], padding=case["padding"], groups=groups)
+        kw = dict(stride=case["stride"], groups=groups)
 
         xt = Tensor(x, requires_grad=True)
         wt = Tensor(w, requires_grad=True)
         bt = Tensor(b, requires_grad=True) if b is not None else None
         out = conv2d(xt, wt, bt, **kw)
+        kw["padding"] = k // 2
         g = rng.normal(size=out.shape).astype(dt)
         tmean(mul(out, Tensor(g))).backward()
         g = g / out.size    # the upstream gradient that tmean hands back
@@ -307,7 +312,7 @@ class TestConvTape:
         w = Tensor(rng.normal(size=(c_out, 16 // groups, 3, 3)).astype(np.float32),
                    requires_grad=True)
         out, retained, _ = traced_memory(
-            lambda: conv2d(x, w, stride=stride, padding=1, groups=groups))
+            lambda: conv2d(x, w, stride=stride, groups=groups))
         assert out._backward_fn is not None
         assert retained <= out.data.nbytes + 16 * 1024, (retained, out.data.nbytes)
 
@@ -315,50 +320,50 @@ class TestConvTape:
 class TestPixelShuffle:
     def test_unshuffle_single_block(self):
         x = Tensor(np.array([[[[1.0, 2.0], [3.0, 4.0]]]]))
-        out = pixel_unshuffle(x, 2)
+        out = pixel_unshuffle(x)
         assert out.shape == (1, 4, 1, 1)
         np.testing.assert_array_equal(out.data.ravel(), [1.0, 2.0, 3.0, 4.0])
 
     def test_shuffle_single_block(self):
         x = Tensor(np.array([10.0, 20.0, 30.0, 40.0]).reshape(1, 4, 1, 1))
-        out = pixel_shuffle(x, 2)
+        out = pixel_shuffle(x)
         np.testing.assert_array_equal(out.data, [[[[10.0, 20.0], [30.0, 40.0]]]])
 
     def test_shape_law(self):
         x = Tensor(np.zeros((1, 8, 4, 4), dtype=np.float32))
-        assert pixel_shuffle(x, 2).shape == (1, 2, 8, 8)
+        assert pixel_shuffle(x).shape == (1, 2, 8, 8)
 
     def test_roundtrip_identity_bit_exact(self):
         rng = np.random.default_rng(3)
-        for shape, r in [((1, 3, 8, 8), 2), ((1, 1, 12, 8), 4), ((2, 6, 6, 6), 3)]:
+        for shape in [(1, 3, 8, 8), (1, 1, 12, 8), (2, 6, 6, 6)]:
             x = rng.normal(size=shape).astype(np.float32)
-            back = pixel_shuffle(pixel_unshuffle(Tensor(x), r), r)
+            back = pixel_shuffle(pixel_unshuffle(Tensor(x)))
             np.testing.assert_array_equal(back.data, x)
 
     def test_multiset_preserved(self):
         rng = np.random.default_rng(4)
         x = rng.normal(size=(1, 3, 8, 8))
-        out = pixel_unshuffle(Tensor(x), 2)
+        out = pixel_unshuffle(Tensor(x))
         np.testing.assert_array_equal(np.sort(out.data.ravel()), np.sort(x.ravel()))
 
     def test_indivisible_rejected(self):
         with pytest.raises(ShapeError):
-            pixel_unshuffle(Tensor(np.zeros((1, 1, 5, 4))), 2)
+            pixel_unshuffle(Tensor(np.zeros((1, 1, 5, 4))))
         with pytest.raises(ShapeError):
-            pixel_shuffle(Tensor(np.zeros((1, 6, 2, 2))), 2)
+            pixel_shuffle(Tensor(np.zeros((1, 6, 2, 2))))
 
 
-@pytest.mark.parametrize("op", [
-    lambda x: conv2d(x, Tensor(np.zeros((2, 2, 1, 1)))),
-    lambda x: layernorm_channels(x, Tensor(np.ones(2))),
-    lambda x: pixel_shuffle(x, 1),
-    lambda x: pixel_unshuffle(x, 1),
+@pytest.mark.parametrize("op,c", [
+    (lambda x: conv2d(x, Tensor(np.zeros((2, 2, 1, 1)))), 2),
+    (lambda x: layernorm_channels(x, Tensor(np.ones(2))), 2),
+    (pixel_shuffle, 4),
+    (pixel_unshuffle, 2),
 ], ids=["conv2d", "layernorm_channels", "pixel_shuffle", "pixel_unshuffle"])
-def test_unbatched_input_rejected(op):
+def test_unbatched_input_rejected(op, c):
     """The spatial ops take (N,C,H,W) only; a (C,H,W) map is a ShapeError."""
-    op(Tensor(np.zeros((1, 2, 4, 4))))
+    op(Tensor(np.zeros((1, c, 4, 4))))
     with pytest.raises(ShapeError):
-        op(Tensor(np.zeros((2, 4, 4))))
+        op(Tensor(np.zeros((c, 4, 4))))
 
 
 class TestGelu:
@@ -434,11 +439,11 @@ class TestGelu:
 
 class TestSoftmax:
     def test_uniform_row(self):
-        out = softmax(Tensor(np.array([2.5, 2.5, 2.5])), axis=0)
+        out = softmax(Tensor(np.array([2.5, 2.5, 2.5])))
         np.testing.assert_allclose(out.data, [1 / 3] * 3, rtol=1e-12)
 
     def test_large_inputs_stable(self):
-        out = softmax(Tensor(np.array([1000.0, 0.0])), axis=0)
+        out = softmax(Tensor(np.array([1000.0, 0.0])))
         assert np.all(np.isfinite(out.data))
         assert out.data[0] == pytest.approx(1.0)
         assert out.data[1] == pytest.approx(0.0, abs=1e-30)
@@ -451,17 +456,16 @@ class TestSoftmax:
         exps = [mp.e ** mp.mpf(v) for v in x]
         total = sum(exps)
         expected = np.array([float(e / total) for e in exps])
-        out = softmax(Tensor(x), axis=0)
+        out = softmax(Tensor(x))
         np.testing.assert_allclose(out.data, expected, rtol=1e-12)
 
     def test_slices_sum_to_one_and_shift_invariance(self):
         rng = np.random.default_rng(12)
         x = rng.normal(size=(3, 5, 4)) * 10
-        for axis in range(3):
-            s = softmax(Tensor(x), axis=axis)
-            np.testing.assert_allclose(s.data.sum(axis=axis), 1.0, atol=1e-6)
-            shifted = softmax(Tensor(x + 123.456), axis=axis)  # constant shift
-            np.testing.assert_allclose(shifted.data, s.data, atol=1e-6)
+        s = softmax(Tensor(x))
+        np.testing.assert_allclose(s.data.sum(axis=-1), 1.0, atol=1e-6)
+        shifted = softmax(Tensor(x + 123.456))  # constant shift
+        np.testing.assert_allclose(shifted.data, s.data, atol=1e-6)
 
 
 class TestLayernormChannels:
@@ -514,6 +518,9 @@ class TestMatmul:
             matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((3, 4, 5))))
         with pytest.raises(ShapeError):
             matmul(Tensor(np.zeros((3, 4))), Tensor(np.zeros((5, 6))))
+        # no broadcasting of a batch extent that one side lacks
+        with pytest.raises(ShapeError):
+            matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((4, 5))))
 
 
 class TestBackwardBasics:
@@ -586,7 +593,7 @@ class TestBackwardBasics:
         def run(keep):
             w = Tensor(w0.copy(), requires_grad=True)
             gamma = Tensor(np.linspace(0.5, 1.5, 4), requires_grad=True)
-            conv = conv2d(x, w, padding=1)
+            conv = conv2d(x, w)
             summed = add(conv, x)
             hidden = add(summed, layernorm_channels(summed, gamma))
             loss = tmean(gelu(hidden))
@@ -613,8 +620,8 @@ class TestBackwardBasics:
         rng = np.random.default_rng(10)
         x = rng.normal(size=(2, 4, 8, 8)).astype(np.float32)
         w = rng.normal(size=(4, 4, 3, 3)).astype(np.float32)
-        a = conv2d(Tensor(x), Tensor(w), padding=1).data
-        b = conv2d(Tensor(x), Tensor(w), padding=1).data
+        a = conv2d(Tensor(x), Tensor(w)).data
+        b = conv2d(Tensor(x), Tensor(w)).data
         np.testing.assert_array_equal(a, b)
 
 
@@ -631,12 +638,12 @@ class TestNoGrad:
             lambda: add(x, y), lambda: sub(x, y), lambda: mul(x, y), lambda: neg(x),
             lambda: texp(x), lambda: tabs(x), lambda: tmean(x),
             lambda: gelu(x), lambda: reshape(x, (16, 4)), lambda: transpose(x, (0, 3, 1, 2)),
-            lambda: concat([x, y], axis=0), lambda: softmax(x, axis=-1),
+            lambda: concat([x, y], axis=0), lambda: softmax(x),
             lambda: layernorm_channels(x, g), lambda: matmul(x, y),
-            lambda: pixel_unshuffle(x, 2), lambda: pixel_shuffle(x, 2),
-            lambda: conv2d(x, w, g, padding=1),
+            lambda: pixel_unshuffle(x), lambda: pixel_shuffle(x),
+            lambda: conv2d(x, w, g),
             lambda: conv2d(x, Tensor(w.data[:, :1].copy(), requires_grad=True),
-                           stride=2, padding=1, groups=4),
+                           stride=2, groups=4),
         ]
 
     def test_ops_record_nothing(self):
@@ -716,10 +723,10 @@ class TestReductionsAndInvariants:
         rng = np.random.default_rng(14)
         x = rng.normal(size=(1, 4, 8, 8)).astype(np.float32) * 50
         outs = [
-            softmax(Tensor(x), axis=1).data,
+            softmax(Tensor(x)).data,
             gelu(Tensor(x)).data,
             layernorm_channels(Tensor(x), Tensor(np.ones(4, dtype=np.float32))).data,
-            pixel_unshuffle(Tensor(x), 2).data,
+            pixel_unshuffle(Tensor(x)).data,
         ]
         for o in outs:
             assert np.all(np.isfinite(o))

@@ -83,19 +83,19 @@ class TestTrainConfig:
 
 class TestCosineSchedule:
     def test_endpoints(self):
-        assert cosine_lr(0.0) == pytest.approx(1e-3)
-        assert cosine_lr(1.0) == pytest.approx(1e-7)
+        assert cosine_lr(0.0, 1e-3, 1e-7) == pytest.approx(1e-3)
+        assert cosine_lr(1.0, 1e-3, 1e-7) == pytest.approx(1e-7)
 
     def test_midpoint(self):
-        assert cosine_lr(0.5) == pytest.approx(5.0005e-4, rel=1e-9)
+        assert cosine_lr(0.5, 1e-3, 1e-7) == pytest.approx(5.0005e-4, rel=1e-9)
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            cosine_lr(1.5)
+            cosine_lr(1.5, 1e-3, 1e-7)
 
     def test_two_identical_cycles_over_60_epochs(self):
         period = 30
-        trace = [cosine_lr((epoch % period) / period) for epoch in range(60)]
+        trace = [cosine_lr((epoch % period) / period, 1e-3, 1e-7) for epoch in range(60)]
         assert trace[:30] == trace[30:]
         assert trace[0] == pytest.approx(1e-3)
         assert min(trace) < 2e-7 * 60  # tail approaches lr_min
@@ -134,7 +134,7 @@ class TestNormalization:
     def test_roundtrip_bit_exact(self):
         rng = np.random.default_rng(7)
         hu = (rng.random((16, 16)).astype(np.float32) * 3800.0 - 1000.0)
-        back = denormalize(normalize(hu))
+        back = denormalize(normalize(hu, np.float32))
         np.testing.assert_array_equal(back, hu)
 
 
@@ -151,7 +151,7 @@ class TestTrainLoop:
         cfg = TrainConfig(epochs=0)
         model, curve = train(model, tiny_dataset, cfg)
         assert curve == []
-        x = Tensor(np.random.default_rng(0).normal(size=(1, 16, 16)).astype(np.float32))
+        x = Tensor(np.random.default_rng(0).normal(size=(1, 1, 16, 16)).astype(np.float32))
         np.testing.assert_array_equal(model.forward(x).data, x.data)
 
     def test_loss_decreases_on_short_run(self, tiny_dataset):
