@@ -11,33 +11,34 @@ Run: python3 demos/03_simulate_artifacts.py
 import numpy as np
 
 from ctmar.metrics import psnr
-from ctmar.simulate import (SimParams, fbp_reconstruct, hu_to_mu, jaw_phantom,
+from ctmar.simulate import (FIELD_MM, SimParams, fbp_reconstruct, hu_to_mu, jaw_phantom,
                             mu_to_hu, radon_forward, random_metal_mask,
                             simulate_ma_pair, smooth_phantom)
 
 rng = np.random.default_rng(42)
 
-# 1. Reconstruction sanity: project a smooth phantom and invert.
+# 1. Reconstruction sanity: project a smooth phantom and invert. Phantoms
+#    are HU arrays; a pixel is FIELD_MM / size millimetres wide.
 phantom = smooth_phantom(128, seed=1)
 mu = hu_to_mu(phantom)
-sino = radon_forward(mu, SimParams(n_angles=360), phantom.spacing)
+sino = radon_forward(mu, SimParams(n_angles=360), FIELD_MM / 128)
 recon = mu_to_hu(fbp_reconstruct(sino, 128))
 print(f"round trip PSNR on a smooth phantom: "
-      f"{psnr(recon, phantom.pixels, 3800.0):.1f} dB")
+      f"{psnr(recon, phantom, 3800.0):.1f} dB")
 
 # 2. A jaw-like slice with teeth, then a small implant on one of them.
 jaw = jaw_phantom(64, rng)
 mask = random_metal_mask(jaw, rng)
-print(f"jaw phantom: {int((jaw.pixels > 1200).sum())} bright tooth pixels, "
+print(f"jaw phantom: {int((jaw > 1200).sum())} bright tooth pixels, "
       f"implant of {int(mask.sum())} px")
 
 # 3. Degrade: the implant saturates the HU window and its rays are
 #    beam-hardened, which smears streaks across the whole slice.
-ma = simulate_ma_pair(jaw, mask, SimParams())
-diff = ma.pixels - jaw.pixels
-print(f"MA slice: PSNR vs clean {psnr(ma.pixels, jaw.pixels, 3800.0):.1f} dB, "
+ma = simulate_ma_pair(jaw, mask)
+diff = ma - jaw
+print(f"MA slice: PSNR vs clean {psnr(ma, jaw, 3800.0):.1f} dB, "
       f"streak std outside the implant {diff[~mask].std():.0f} HU, "
-      f"{int((ma.pixels >= 2800).sum())} px at the window top")
+      f"{int((ma >= 2800).sum())} px at the window top")
 
 try:
     import matplotlib
@@ -46,7 +47,7 @@ try:
 
     fig, axes = plt.subplots(1, 4, figsize=(14, 3.6))
     for ax, (img, title) in zip(axes, [
-            (jaw.pixels, "clean"), (ma.pixels, "with metal artifacts"),
+            (jaw, "clean"), (ma, "with metal artifacts"),
             (diff, "difference"), (sino.values, "sinogram (smooth phantom)")]):
         ax.imshow(img, cmap="gray", aspect="auto")
         ax.set_title(title)

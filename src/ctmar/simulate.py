@@ -32,19 +32,6 @@ _SAMPLE_BLOCK = 1 << 13    # samples per bilinear block; its temporaries stay in
 
 
 @dataclass
-class PhantomImage:
-    """A square HU-valued slice with its pixel spacing in millimetres."""
-
-    pixels: np.ndarray
-    spacing: float
-
-    def __post_init__(self):
-        self.pixels = np.asarray(self.pixels, dtype=np.float64)
-        if self.pixels.ndim != 2:
-            raise ValueError(f"expected a 2-D slice, got shape {self.pixels.shape}")
-
-
-@dataclass
 class Sinogram:
     """Parallel-beam line integrals: n_angles x n_detectors, angles uniform on [0, pi)."""
 
@@ -61,10 +48,9 @@ class SimParams:
             raise ValueError("n_angles must be at least 8")
 
 
-def hu_to_mu(image: PhantomImage) -> np.ndarray:
+def hu_to_mu(hu: np.ndarray) -> np.ndarray:
     """Attenuation coefficients (1/mm) after clipping HU to the scanner window."""
-    hu = np.clip(image.pixels, HU_MIN, HU_MAX)
-    return MU_WATER * (1.0 + hu / 1000.0)
+    return MU_WATER * (1.0 + np.clip(hu, HU_MIN, HU_MAX) / 1000.0)
 
 
 def mu_to_hu(mu: np.ndarray) -> np.ndarray:
@@ -132,7 +118,7 @@ def _bilinear(mu: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return out
 
 
-def radon_forward(mu: np.ndarray, params: SimParams, spacing: float = 1.0) -> Sinogram:
+def radon_forward(mu: np.ndarray, params: SimParams, spacing: float) -> Sinogram:
     """Line integrals by bilinear ray marching at half-pixel steps.
 
     Each sub-ray is sampled only over its support: the march steps whose
@@ -247,41 +233,36 @@ def fbp_reconstruct(sino: Sinogram, size: int) -> np.ndarray:
     return recon * (math.pi / n_angles)
 
 
-def simulate_ma_pair(clean: PhantomImage, metal_mask: np.ndarray,
-                     params: SimParams) -> PhantomImage:
-    """The MA image: ``clean`` degraded with inserted metal plus beam hardening.
+def simulate_ma_pair(clean: np.ndarray, metal_mask: np.ndarray) -> np.ndarray:
+    """The MA slice in HU: the square HU slice ``clean`` degraded with
+    inserted metal plus beam hardening, at a pixel pitch of
+    ``FIELD_MM / size``.
 
     The metal's attenuation is taken from the unclipped ``METAL_HU``,
     so the reconstruction saturates the display window at the implant;
-    the returned MA image is clipped back to [-1000, 2800] HU. An
-    empty mask degenerates to the plain projection round trip.
+    the returned MA slice is clipped back to [-1000, 2800] HU.
     """
     mask = np.asarray(metal_mask).astype(bool)
-    if mask.shape != clean.pixels.shape:
-        raise ValueError(f"mask shape {mask.shape} does not match image "
-                         f"{clean.pixels.shape}")
+    if mask.shape != clean.shape:
+        raise ValueError(f"mask shape {mask.shape} does not match image {clean.shape}")
     n_metal = int(mask.sum())
-    if 0 < n_metal < METAL_PIXELS[0]:
+    if n_metal < METAL_PIXELS[0]:
         raise ValueError(f"metal mask has {n_metal} pixels; a metal-artifact "
                          f"slice needs at least {METAL_PIXELS[0]}")
 
+    params = SimParams()
+    spacing = FIELD_MM / clean.shape[0]
     mu = hu_to_mu(clean)
-    if n_metal:
-        mu[mask] = MU_WATER * (1.0 + METAL_HU / 1000.0)
-    sino = radon_forward(mu, params, clean.spacing)
+    mu[mask] = MU_WATER * (1.0 + METAL_HU / 1000.0)
+    sino = radon_forward(mu, params, spacing)
+    hits = radon_forward(mask.astype(np.float64), params, spacing).values > 1e-9
+    s = sino.values
+    s[hits] = s[hits] + BEAM_HARDENING * s[hits] ** 2 / (1.0 + s[hits])
 
-    if n_metal:
-        metal_trace = radon_forward(mask.astype(np.float64), params, clean.spacing)
-        hits = metal_trace.values > 1e-9
-        s = sino.values
-        s[hits] = s[hits] + BEAM_HARDENING * s[hits] ** 2 / (1.0 + s[hits])
-
-    recon = fbp_reconstruct(sino, clean.pixels.shape[0])
-    ma_hu = np.clip(mu_to_hu(recon), HU_MIN, HU_MAX)
-    if n_metal:
-        # the implant itself always reads as saturated metal
-        ma_hu[mask] = HU_MAX
-    return PhantomImage(ma_hu, clean.spacing)
+    ma_hu = np.clip(mu_to_hu(fbp_reconstruct(sino, clean.shape[0])), HU_MIN, HU_MAX)
+    # the implant itself always reads as saturated metal
+    ma_hu[mask] = HU_MAX
+    return ma_hu
 
 
 # -- procedural phantoms -----------------------------------------------------------
@@ -299,20 +280,19 @@ def _fill_ellipse(img: np.ndarray, cy: float, cx: float, ry: float, rx: float,
     img[u * u + v * v <= 1.0] = value
 
 
-def smooth_phantom(size: int, seed: int = 0) -> PhantomImage:
-    """A smooth soft-tissue phantom for reconstruction sanity checks."""
+def smooth_phantom(size: int, seed: int) -> np.ndarray:
+    """A smooth soft-tissue HU phantom for reconstruction sanity checks."""
     rng = np.random.default_rng(seed)
     img = np.full((size, size), HU_MIN)
     _fill_ellipse(img, size * 0.5, size * 0.5, size * 0.40, size * 0.36, 0.0)
     _fill_ellipse(img, size * 0.42, size * 0.48, size * 0.16, size * 0.20,
                   80.0, angle=rng.uniform(0, math.pi))
     _fill_ellipse(img, size * 0.62, size * 0.55, size * 0.10, size * 0.08, -60.0)
-    img = gaussian_filter(img, sigma=size / 48.0)
-    return PhantomImage(np.clip(img, HU_MIN, HU_MAX), spacing=FIELD_MM / size)
+    return np.clip(gaussian_filter(img, sigma=size / 48.0), HU_MIN, HU_MAX)
 
 
-def jaw_phantom(size: int, rng: np.random.Generator) -> PhantomImage:
-    """A dental-slice lookalike: soft-tissue oval, bony arch, bright teeth."""
+def jaw_phantom(size: int, rng: np.random.Generator) -> np.ndarray:
+    """A dental-slice lookalike in HU: soft-tissue oval, bony arch, bright teeth."""
     img = np.full((size, size), HU_MIN)
     jitter = lambda s: 1.0 + rng.uniform(-s, s)
     cy, cx = size * 0.52 * jitter(0.03), size * 0.5 * jitter(0.03)
@@ -333,15 +313,13 @@ def jaw_phantom(size: int, rng: np.random.Generator) -> PhantomImage:
         r_tooth = size * rng.uniform(0.022, 0.032)
         _fill_ellipse(img, ty, tx, r_tooth, r_tooth * jitter(0.2),
                       rng.uniform(1400.0, 2400.0), angle=rng.uniform(0, math.pi))
-    img = gaussian_filter(img, sigma=max(0.6, size / 128.0))
-    return PhantomImage(np.clip(img, HU_MIN, HU_MAX), spacing=FIELD_MM / size)
+    return np.clip(gaussian_filter(img, sigma=max(0.6, size / 128.0)), HU_MIN, HU_MAX)
 
 
-def random_metal_mask(phantom: PhantomImage, rng: np.random.Generator) -> np.ndarray:
+def random_metal_mask(hu: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """A blob of ``METAL_PIXELS`` implant pixels centred on a bright (tooth) structure."""
-    img = phantom.pixels
-    size = img.shape[0]
-    bright = np.argwhere(img > 1200.0)
+    size = hu.shape[0]
+    bright = np.argwhere(hu > 1200.0)
     if len(bright):
         cy, cx = bright[rng.integers(len(bright))]
     else:
@@ -407,10 +385,10 @@ def make_dataset(n_pairs: int, size: int, seed: int,
         rng = np.random.default_rng(seed ^ i)
         clean = jaw_phantom(size, rng)
         mask = random_metal_mask(clean, rng)
-        ma = simulate_ma_pair(clean, mask, SimParams())
+        ma = simulate_ma_pair(clean, mask)
         clean_name, ma_name = f"{i:04d}_clean.mtsr", f"{i:04d}_ma.mtsr"
-        tio.save_tensor(out / clean_name, clean.pixels.astype(np.float32))
-        tio.save_tensor(out / ma_name, ma.pixels.astype(np.float32))
+        tio.save_tensor(out / clean_name, clean.astype(np.float32))
+        tio.save_tensor(out / ma_name, ma.astype(np.float32))
         manifest.pairs.append(PairRecord(
             pair_id=i, clean_path=clean_name, ma_path=ma_name,
             split=_split_for(i, n_pairs), mask_pixel_count=int(mask.sum())))

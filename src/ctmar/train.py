@@ -232,11 +232,11 @@ def evaluate(model: MARNet, data_dir: Union[str, Path], split: str = "test") -> 
             if not np.isfinite(clean).all():
                 raise ValueError("clean slice has non-finite values")
             restored = restore_slice(model, ma)
+            report.rows.append((image_id,
+                                metrics.psnr(restored, clean, HU_DATA_RANGE),
+                                metrics.ssim(restored, clean, HU_DATA_RANGE)))
         except ValueError as exc:
             raise ValueError(f"{data_dir} pair {image_id}: {exc}") from exc
-        report.rows.append((image_id,
-                            metrics.psnr(restored, clean, HU_DATA_RANGE),
-                            metrics.ssim(restored, clean, HU_DATA_RANGE)))
     report.mean_psnr = sum(r[1] for r in report.rows) / len(report.rows)
     report.mean_ssim = sum(r[2] for r in report.rows) / len(report.rows)
     return report

@@ -24,6 +24,7 @@ from ctmar.complexity import (
 )
 from ctmar.model import ModelConfig, build_model, preset
 from ctmar.simulate import (
+    FIELD_MM,
     SimParams,
     fbp_reconstruct,
     hu_to_mu,
@@ -271,9 +272,9 @@ def test_criterion_8_same_phase_rule(period, decay, passes):
 def test_criterion_9_simulator_sanity(overfit_dataset):
     phantom = smooth_phantom(128, seed=5)
     mu = hu_to_mu(phantom)
-    sino = radon_forward(mu, SimParams(n_angles=360), phantom.spacing)
+    sino = radon_forward(mu, SimParams(n_angles=360), FIELD_MM / 128)
     recon = mu_to_hu(fbp_reconstruct(sino, 128))
-    roundtrip = metrics.psnr(recon, phantom.pixels, 3800.0)
+    roundtrip = metrics.psnr(recon, phantom, 3800.0)
 
     manifest = load_manifest(overfit_dataset)
     n_tensor_files = len(list(Path(overfit_dataset).glob("*.mtsr")))

@@ -283,6 +283,20 @@ class TestEvalAndTrain:
         assert len(err.strip().splitlines()) == 1
         assert "mean," not in out
 
+    def test_eval_metric_refusal_names_pair(self, tmp_path, capsys):
+        """An 8x8 slice restores, but SSIM's 11x11 window cannot score it;
+        the error names the dataset and the pair like every other refusal."""
+        ds = tmp_path / "ds"
+        run(capsys, "synth", "--pairs", "1", "--size", "8", "--out", str(ds))
+        ckpt = tmp_path / "t.mckp"
+        save_checkpoint(build_model(BASE8, seed=1), ckpt)
+        code, out, err = run(capsys, "eval", "--ckpt", str(ckpt), "--data", str(ds),
+                             "--split", "train")
+        assert code == 1
+        assert err.startswith(f"error: {ds} pair 0000:") and "11x11 window" in err
+        assert len(err.strip().splitlines()) == 1
+        assert "mean," not in out
+
     @pytest.mark.parametrize("edit,needle", [
         (lambda pairs: pairs[2].pop("split"), "split"),
         (lambda pairs: pairs[2].update(bogus=1), "bogus"),
