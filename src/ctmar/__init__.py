@@ -1,6 +1,6 @@
 """CT metal artifact reduction at desk scale.
 
-A numpy/scipy library bundling:
+A numpy library (scipy loads only at the FFT conv and the float64 GELU) bundling:
 
 - a minimal dense-tensor core with reverse-mode autodiff (`ctmar.tensor`),
 - a channel-attention U-Net restoration transformer (`ctmar.model`),

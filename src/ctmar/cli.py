@@ -136,7 +136,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic clean/MA dataset")
     p.add_argument("--pairs", type=int, default=8, help="number of pairs (default 8)")
     p.add_argument("--size", type=int, default=64,
-                   help="slice extent, divisible by 8 (default 64)")
+                   help="slice extent, divisible by 8 (default 64); eval scores only slices "
+                        "of at least 11x11 (the SSIM window), so size 8 trains but is not scored")
     p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_synth)

@@ -33,8 +33,6 @@ from contextlib import contextmanager
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
-from scipy.fft import ifft, irfft, irfft2, next_fast_len, rfft2
-from scipy.special import erf
 
 DTYPES = {"f32": np.float32, "f64": np.float64}
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -358,6 +356,8 @@ def gelu(a: Tensor) -> Tensor:
     g times that; it keeps neither x nor Phi(x).
     """
     x = a.data.reshape(-1)
+    if x.dtype != np.float32:
+        from scipy.special import erf
     erf_block = _erf_f32 if x.dtype == np.float32 else (lambda z: erf(z, out=z))
     recorded = _recording and a.requires_grad
     cdf = np.empty(min(x.size, _GELU_BLOCK), dtype=x.dtype)
@@ -586,6 +586,7 @@ def _irfft2_crop(spec: np.ndarray, s: tuple, h: int, w: int) -> np.ndarray:
     The column pass overwrites ``spec`` and the row pass runs only over
     the h rows kept, so no second spectrum-sized buffer is allocated.
     """
+    from scipy.fft import ifft, irfft
     spec = ifft(spec, axis=-2, overwrite_x=True)
     return irfft(spec[..., :h, :], n=s[1], axis=-1)[..., :w]
 
@@ -620,6 +621,7 @@ def _conv_dw_fft(x: np.ndarray, w: np.ndarray):
     values, so the spectra held at any time stay small beside the output;
     the backward recomputes them rather than keep any on the tape.
     """
+    from scipy.fft import irfft2, next_fast_len, rfft2
     n, c, h, wid = x.shape
     k = w.shape[-1]
     pad = k // 2

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.ndimage import map_coordinates
+from scipy.ndimage import gaussian_filter, map_coordinates
 
 from ctmar import simulate
 from ctmar.simulate import (
@@ -277,6 +277,15 @@ class TestSimulateMAPair:
 
 
 class TestPhantoms:
+    @pytest.mark.parametrize("size", range(8, 257, 8))
+    def test_gaussian_blur_bit_equal_to_scipy(self, size):
+        """The phantoms' numpy blur under both sigma rules (jaw_phantom's and
+        smooth_phantom's) repeats scipy's gaussian_filter to the last bit."""
+        img = np.random.default_rng(size).uniform(HU_MIN, HU_MAX, size=(size, size))
+        for sigma in (max(0.6, size / 128.0), size / 48.0):
+            np.testing.assert_array_equal(simulate._gaussian_blur(img, sigma).view(np.int64),
+                                          gaussian_filter(img, sigma).view(np.int64))
+
     def test_jaw_phantom_window_and_teeth(self):
         rng = np.random.default_rng(9)
         ph = jaw_phantom(64, rng)

@@ -13,21 +13,37 @@ def test_modules_found():
     assert "simulate.py" in [p.name for p in MODULES]
 
 
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def own_imports(scope):
+    """The import statements in ``scope`` outside any function nested in it."""
+    stack = list(scope.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif not isinstance(node, FUNCTIONS):
+            stack.extend(ast.iter_child_nodes(node))
+
+
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
 def test_no_unused_imports(path):
-    """Every name a top-level import binds is read somewhere in its module."""
+    """Every name an import binds is read in its scope: a module-level
+    import somewhere in its module, an import inside a function in that
+    function (nested functions and lambdas included)."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    imported = {}
-    for node in tree.body:
-        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
-            continue
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
+    scopes = [tree] + [node for node in ast.walk(tree) if isinstance(node, FUNCTIONS)]
+    unused = []
+    for scope in scopes:
+        read = {node.id for node in ast.walk(scope)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in own_imports(scope):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
             for alias in node.names:
                 # ``import a.b`` binds ``a``
                 name = alias.asname or alias.name.split(".")[0]
-                imported[name] = node.lineno
-    read = {node.id for node in ast.walk(tree)
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
-    unused = sorted(f"{name} (line {line})" for name, line in imported.items()
-                    if name not in read)
-    assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
+                if name not in read:
+                    unused.append(f"{name} (line {node.lineno})")
+    assert not unused, f"{path.name} imports names it never uses: {', '.join(sorted(unused))}"
