@@ -26,9 +26,13 @@ import numpy as np
 
 from . import io as tio
 from .tensor import (
+    FFT_MIN_KERNEL,
     Tensor,
     ShapeError,
     _as_dtype,
+    _conv_dw_fft,
+    _gelu_into,
+    _records,
     concat,
     conv2d,
     gelu,
@@ -274,13 +278,13 @@ class ChannelAttention(Module):
     def forward(self, x: Tensor) -> Tensor:
         n, c, height, width = x.shape
         q, k, v = self.project_qkv(x)
-        sp = q.shape[-1]
-        scale = texp(-self.temperature) * (1.0 / math.sqrt(sp))
+        del x           # each map goes once its last reader has run; unrecorded, it is freed
+        scale = texp(-self.temperature) * (1.0 / math.sqrt(q.shape[-1]))
         scores = matmul(q, transpose(k, (0, 1, 3, 2))) * scale
-        attn = softmax(scores)
-        mixed = matmul(attn, v)
-        mixed = reshape(mixed, (n, c, height, width))
-        return self.out_proj.forward(mixed)
+        del q, k
+        mixed = matmul(softmax(scores), v)
+        del v
+        return self.out_proj.forward(reshape(mixed, (n, c, height, width)))
 
     def macs(self, h: int, w: int) -> int:
         # Q/K project at the strided grid; the score and mixing matmuls contract
@@ -302,8 +306,16 @@ class ConvFeedForward(Module):
         self.conv_out = Conv2d(hidden, channels, 1)
 
     def forward(self, x: Tensor) -> Tensor:
-        # nested, so no name holds a hidden activation its consumer is done with
-        return self.conv_out.forward(gelu(self.conv_dw.forward(gelu(self.conv_in.forward(x)))))
+        if _records(x, self.conv_in.weight) or self.conv_dw.weight.shape[-1] < FFT_MIN_KERNEL:
+            # nested, so no name holds a hidden activation its consumer is done with
+            return self.conv_out.forward(gelu(self.conv_dw.forward(gelu(self.conv_in.forward(x)))))
+        # no tape, so nothing reads conv_in's fresh output but this chain: GELU,
+        # the FFT depth-wise conv and GELU overwrite it, one hidden-width map
+        x = self.conv_in.forward(x)
+        _gelu_into(x.data, x.data)
+        _conv_dw_fft(x.data, self.conv_dw.weight.data, x.data)
+        _gelu_into(x.data, x.data)
+        return self.conv_out.forward(x)
 
     def macs(self, h: int, w: int) -> int:
         gelus = 2 * self.conv_dw.weight.shape[0] * h * w      # both at the hidden width
@@ -388,16 +400,19 @@ class MARNet(Module):
         h, w = image.shape[2:]
         if h % 8 or w % 8 or min(h, w) < 8:
             raise ShapeError(f"spatial extents {h}x{w} must be positive multiples of 8")
-        x, skips = image, []
+        # the stage input lives only in ``live`` until it is popped into a call, and
+        # CPython moves call arguments into the callee's frame, so each stage can
+        # drop its input once it has read it
+        live, skips = [image], []
         for key, kind, _ in STAGES:
             part = getattr(self, key)
             if kind == "down":
-                skips.append(x)
+                skips.append(live[0])
             elif kind == "reduce":
-                x = concat([x, skips.pop()], axis=1)
+                live.append(concat([live.pop(), skips.pop()], axis=1))
             for module in part if kind == "blocks" else [part]:
-                x = module.forward(x)
-        return image + x
+                live.append(module.forward(live.pop()))
+        return image + live.pop()
 
 
 def build_model(config: ModelConfig, seed: int = 0, dtype: str = "f32") -> MARNet:

@@ -423,12 +423,14 @@ def _check_fields(path: Path, what: str, entry, cls) -> None:
 
 def _pair_record(path: Path, index: int, entry) -> PairRecord:
     """Validate one manifest pair entry: exactly PairRecord's fields, each of
-    its declared type, a known split, and slice paths that stay inside the
-    manifest's directory."""
+    its declared type, ``pair_id`` equal to ``index``, a known split, and
+    slice paths that stay inside the manifest's directory."""
     _check_fields(path, f"pair {index}", entry, PairRecord)
     for f in fields(PairRecord):     # the annotations are strings: "int" or "str"
         if type(entry[f.name]).__name__ != f.type:
             raise ValueError(f"{path}: pair {index} {f.name} {entry[f.name]!r} is not {f.type}")
+    if entry["pair_id"] != index:
+        raise ValueError(f"{path}: pair {index} pair_id {entry['pair_id']} is not its position")
     if entry["split"] not in SPLITS:
         raise ValueError(f"{path}: pair {index} split {entry['split']!r} "
                          f"is not one of {', '.join(SPLITS)}")
@@ -442,18 +444,43 @@ def _pair_record(path: Path, index: int, entry) -> PairRecord:
 
 def load_manifest(data_dir: Union[str, Path]) -> DatasetManifest:
     """Read and validate a dataset's manifest: exactly DatasetManifest's
-    fields at the top level, a list of pairs, and valid pair records."""
+    fields at the top level, a size that is a positive multiple of 8 with
+    the spacing ``FIELD_MM / size``, ``n_pairs`` valid pair records whose
+    ``pair_id`` is their position, and no slice path named twice."""
     path = Path(data_dir) / MANIFEST_NAME
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     _check_fields(path, "the top level", payload, DatasetManifest)
-    if not isinstance(payload["pairs"], list):
+    size, pairs = payload["size"], payload.pop("pairs")
+    if type(size) is not int or size < 8 or size % 8:
+        raise ValueError(f"{path}: size {size!r} is not a positive multiple of 8")
+    if payload["spacing"] != FIELD_MM / size:
+        raise ValueError(f"{path}: spacing {payload['spacing']!r} is not "
+                         f"{FIELD_MM:g} / {size} = {FIELD_MM / size!r} mm")
+    if not isinstance(pairs, list):
         raise ValueError(f"{path}: pairs is not a JSON list")
-    pairs = [_pair_record(path, i, p) for i, p in enumerate(payload.pop("pairs"))]
-    return DatasetManifest(**payload, pairs=pairs)
+    if payload["n_pairs"] != len(pairs) or type(payload["n_pairs"]) is not int:
+        raise ValueError(f"{path}: n_pairs {payload['n_pairs']!r} but {len(pairs)} pairs listed")
+    records = [_pair_record(path, i, p) for i, p in enumerate(pairs)]
+    owner = {}
+    for record in records:
+        for key in ("clean_path", "ma_path"):
+            slot = f"pair {record.pair_id} {key}"
+            other = owner.setdefault((path.parent / getattr(record, key)).resolve(), slot)
+            if other != slot:
+                raise ValueError(f"{path}: {slot} {getattr(record, key)!r} is also {other}")
+    return DatasetManifest(**payload, pairs=records)
 
 
-def load_pair(data_dir: Union[str, Path], record: PairRecord) -> Tuple[np.ndarray, np.ndarray]:
-    base = Path(data_dir)
-    return (tio.load_tensor(base / record.ma_path),
-            tio.load_tensor(base / record.clean_path))
+def load_pair(data_dir: Union[str, Path], record: PairRecord,
+              size: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The (MA, clean) slices of ``record``; ValueError unless each is (size, size)."""
+    slices = []
+    for key in ("ma_path", "clean_path"):
+        where = Path(data_dir) / getattr(record, key)
+        arr = tio.load_tensor(where)
+        if arr.shape != (size, size):
+            raise ValueError(f"{where}: pair {record.pair_id} slice has shape "
+                             f"{arr.shape}, not ({size}, {size})")
+        slices.append(arr)
+    return slices[0], slices[1]

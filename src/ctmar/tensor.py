@@ -37,8 +37,9 @@ import numpy as np
 DTYPES = {"f32": np.float32, "f64": np.float64}
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-_recording = True                  # False inside no_grad(); read by Tensor._record
+_recording = True                  # False inside no_grad(); read by _records()
 _FFT_BLOCK = 1 << 17               # complex values per block of FFT-conv channels
+FFT_MIN_KERNEL = 5                 # depth-wise stride-1 kernels from this extent run by FFT
 _GELU_BLOCK = 1 << 15              # elements per GELU block; its temporaries stay in cache
 LAYERNORM_EPS = 1e-6               # added to the channel variance before its square root
 # erf(z) ~ z P(z^2) / Q(z^2) on z clipped to [-4, 4], highest power first
@@ -141,7 +142,7 @@ class Tensor:
         self._node.backward_fn = fn
 
     def _record(self, parents: Sequence["Tensor"], backward_fn: Callable) -> "Tensor":
-        if _recording and any(p.requires_grad for p in parents):
+        if _records(*parents):
             self.requires_grad = True
             self._node = _Node(backward_fn, tuple(
                 p._node if p._node is not None else (p if p.requires_grad else None)
@@ -227,6 +228,12 @@ def no_grad() -> Iterator[None]:
         yield
     finally:
         _recording = previous
+
+
+def _records(*tensors: Tensor) -> bool:
+    """Whether an op on ``tensors`` records a tape node: outside
+    ``no_grad()``, with one of them requiring a gradient."""
+    return _recording and any(t.requires_grad for t in tensors)
 
 
 def _wrap(value, like: Tensor) -> Tensor:
@@ -344,40 +351,49 @@ def _erf_f32(z: np.ndarray) -> np.ndarray:
     return np.divide(p, _horner(_ERF_Q, z2), out=z)
 
 
+def _gelu_into(x: np.ndarray, y: np.ndarray, dy: Optional[np.ndarray] = None) -> None:
+    """Write GELU(x) into ``y`` and, if given, its derivative into ``dy``.
+
+    The arrays are C-contiguous and of one shape; ``y`` may be ``x``
+    itself, since each flat block of ``_GELU_BLOCK`` elements is read
+    before it is overwritten. Phi(x) goes through one block-sized
+    workspace.
+    """
+    x, y = x.reshape(-1), y.reshape(-1)
+    d = None if dy is None else dy.reshape(-1)
+    if x.dtype != np.float32:
+        from scipy.special import erf
+    erf_block = _erf_f32 if x.dtype == np.float32 else (lambda z: erf(z, out=z))
+    cdf = np.empty(min(x.size, _GELU_BLOCK), dtype=x.dtype)
+    for i in range(0, x.size, _GELU_BLOCK):
+        blk = slice(i, min(i + _GELU_BLOCK, x.size))
+        c = erf_block(np.multiply(x[blk], _INV_SQRT2, out=cdf[:blk.stop - i]))
+        c += 1.0
+        c *= 0.5
+        if d is not None:
+            t = np.multiply(x[blk], x[blk], out=d[blk])
+            t *= -0.5
+            np.exp(t, out=t)
+            t *= _INV_SQRT_2PI
+            t *= x[blk]
+            t += c
+        np.multiply(x[blk], c, out=y[blk])
+
+
 def gelu(a: Tensor) -> Tensor:
     """Exact GELU: x * Phi(x) with Phi the standard normal CDF (erf form).
 
     f64 tensors take scipy's erf. f32 tensors take ``_erf_f32``, whose
     error of at most 4.5e-7 bounds Phi's by 2.3e-7, so the f32 output is
     within about 2.3e-7 |x| of the exact GELU before rounding. Both run
-    over flat blocks of ``_GELU_BLOCK`` elements that reuse one
-    block-sized workspace for Phi. A recorded call also fills, block by
-    block, the derivative x phi(x) + Phi(x), and its backward is
-    g times that; it keeps neither x nor Phi(x).
+    over flat blocks in ``_gelu_into``. A recorded call also fills the
+    derivative x phi(x) + Phi(x), and its backward is g times that; it
+    keeps neither x nor Phi(x).
     """
-    x = a.data.reshape(-1)
-    if x.dtype != np.float32:
-        from scipy.special import erf
-    erf_block = _erf_f32 if x.dtype == np.float32 else (lambda z: erf(z, out=z))
-    recorded = _recording and a.requires_grad
-    cdf = np.empty(min(x.size, _GELU_BLOCK), dtype=x.dtype)
-    y = np.empty_like(x)
-    dy = np.empty_like(x) if recorded else None
-    for i in range(0, x.size, _GELU_BLOCK):
-        blk = slice(i, min(i + _GELU_BLOCK, x.size))
-        c = erf_block(np.multiply(x[blk], _INV_SQRT2, out=cdf[:blk.stop - i]))
-        c += 1.0
-        c *= 0.5
-        np.multiply(x[blk], c, out=y[blk])
-        if recorded:
-            t = np.multiply(x[blk], x[blk], out=dy[blk])
-            t *= -0.5
-            np.exp(t, out=t)
-            t *= _INV_SQRT_2PI
-            t *= x[blk]
-            t += c
-    out = Tensor(y.reshape(a.shape))
-    return out._record((a,), lambda g: (g * dy.reshape(g.shape),))
+    y = np.empty_like(a.data)
+    dy = np.empty_like(a.data) if _records(a) else None
+    _gelu_into(a.data, y, dy)
+    return Tensor(y)._record((a,), lambda g: (g * dy,))
 
 
 # -- shape ops ----------------------------------------------------------------
@@ -439,13 +455,11 @@ def layernorm_channels(a: Tensor, gamma: Tensor) -> Tensor:
 
     x = a.data
     scale = gamma.data[:, None, None]
-    mu = x.mean(axis=1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + LAYERNORM_EPS)
-    xhat = xc * inv
-    y = xhat * scale
-    out = Tensor(y.astype(x.dtype, copy=False))
+    xhat = x - x.mean(axis=1, keepdims=True)       # centred here, divided below
+    y = xhat * xhat                                 # the squares, then the output
+    inv = 1.0 / np.sqrt(y.mean(axis=1, keepdims=True) + LAYERNORM_EPS)
+    xhat *= inv
+    out = Tensor(np.multiply(xhat, scale, out=y))
 
     def bw(g):
         dxhat = g * scale
@@ -611,15 +625,17 @@ def _tap_spectrum(w: np.ndarray, lag: np.ndarray, s: tuple) -> np.ndarray:
     return rows.reshape(s[0], c, m).transpose(1, 0, 2)
 
 
-def _conv_dw_fft(x: np.ndarray, w: np.ndarray):
-    """Depth-wise, stride 1, as products of 2-D spectra.
+def _conv_dw_fft(x: np.ndarray, w: np.ndarray, out: np.ndarray):
+    """Depth-wise, stride 1, as products of 2-D spectra, written into ``out``.
 
     With pad = k // 2, each transform spans the kernel and at least
     (H+pad) x (W+pad), so the circular wrap-around of every tap lands in
     zero padding. Tap a sits at offset pad - a, so output (i, j) is read
     at (i, j). Channels go through in blocks of about _FFT_BLOCK spectrum
     values, so the spectra held at any time stay small beside the output;
-    the backward recomputes them rather than keep any on the tape.
+    the backward recomputes them rather than keep any on the tape. A
+    block is transformed before its output is written, so ``out`` may be
+    ``x`` itself when no backward will run.
     """
     from scipy.fft import irfft2, next_fast_len, rfft2
     n, c, h, wid = x.shape
@@ -629,7 +645,6 @@ def _conv_dw_fft(x: np.ndarray, w: np.ndarray):
     lag = pad - np.arange(k)
     step = max(1, _FFT_BLOCK // (n * s[0] * (s[1] // 2 + 1)))
     blocks = [slice(c0, c0 + step) for c0 in range(0, c, step)]
-    out = np.empty(x.shape, dtype=x.dtype)
     for ch in blocks:
         spec = rfft2(x[:, ch], s)
         spec *= _tap_spectrum(w[ch], lag, s)
@@ -690,8 +705,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     C_out); any other ``groups`` raises ShapeError.
 
     The kernel follows from the shapes: every dense conv is one matmul
-    (``_conv_matmul``), a depth-wise stride-1 conv with k >= 5 runs
-    through an FFT, and any other depth-wise conv loops over its k*k
+    (``_conv_matmul``), a depth-wise stride-1 conv with k >= ``FFT_MIN_KERNEL``
+    (5) runs through an FFT, and any other depth-wise conv loops over its k*k
     taps. The kernels all compute in the tensor's dtype, so f64 stays
     exact enough for gradcheck and f32 sums in f32. The bias is added here,
     once, onto the fresh array the kernel returns."""
@@ -715,8 +730,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
 
     if groups == 1:
         out_data, kernel_bw = _conv_matmul(x.data, weight.data, stride, ho, wo)
-    elif stride == 1 and k >= 5:
-        out_data, kernel_bw = _conv_dw_fft(x.data, weight.data)
+    elif stride == 1 and k >= FFT_MIN_KERNEL:
+        out_data, kernel_bw = _conv_dw_fft(x.data, weight.data, np.empty_like(x.data))
     else:
         out_data, kernel_bw = _conv_taps(x.data, weight.data, stride, ho, wo)
     if bias is not None:

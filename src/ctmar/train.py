@@ -19,7 +19,7 @@ import numpy as np
 
 from . import metrics
 from .model import MARNet, ModelConfig, build_model, save_checkpoint
-from .simulate import load_manifest, load_pair
+from .simulate import HU_MAX, HU_MIN, load_manifest, load_pair
 from .tensor import Tensor, central_difference, no_grad, tabs, tmean
 
 NORM_SCALE = 1.0 / 4096.0          # exact in binary floating point
@@ -111,8 +111,9 @@ def denormalize(x: np.ndarray) -> np.ndarray:
 def load_split(data_dir: Union[str, Path], split: str) -> List[Tuple[str, np.ndarray, np.ndarray]]:
     """(pair id, MA slice, clean slice) for a dataset split, in HU."""
     rows = []
-    for record in load_manifest(data_dir).split_pairs(split):
-        ma, clean = load_pair(data_dir, record)
+    manifest = load_manifest(data_dir)
+    for record in manifest.split_pairs(split):
+        ma, clean = load_pair(data_dir, record, manifest.size)
         rows.append((f"{record.pair_id:04d}", ma, clean))
     if not rows:
         raise ValueError(f"dataset at {data_dir} has no pairs in split {split!r}")
@@ -213,11 +214,15 @@ class MetricsReport:
 
 def restore_slice(model: MARNet, hu: np.ndarray) -> np.ndarray:
     """Run one (H,W) HU slice through the model in its parameter dtype,
-    recording no tape; returns HU. ValueError if the normalized slice or
-    the restored one is not finite."""
-    x = normalize(hu, model.intro.weight.data.dtype)
-    if not np.isfinite(x).all():
+    recording no tape; returns HU. A slice with a value that is not finite
+    or lies outside [HU_MIN, HU_MAX] is refused, not clipped: ValueError,
+    as for a restored slice that is not finite."""
+    if not np.isfinite(hu).all():
         raise ValueError("slice has non-finite values")
+    if (hu < HU_MIN).any() or (hu > HU_MAX).any():
+        raise ValueError(f"slice spans {hu.min():g} to {hu.max():g} HU, outside the "
+                         f"{HU_MIN:g} to {HU_MAX:g} HU window")
+    x = normalize(hu, model.intro.weight.data.dtype)
     with no_grad():
         out = model.forward(Tensor(x[None, None])).data[0, 0]
     if not np.isfinite(out).all():

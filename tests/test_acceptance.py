@@ -281,7 +281,7 @@ def test_criterion_9_simulator_sanity(overfit_dataset):
     metal_ok = True
     streak_ok = True
     for record in manifest.pairs:
-        ma, clean = load_pair(overfit_dataset, record)
+        ma, clean = load_pair(overfit_dataset, record, manifest.size)
         hot = ma >= 2800.0
         metal_ok &= int(hot.sum()) >= 10
         streak_ok &= float(np.abs((ma - clean) * ~hot).sum()) > 0.0

@@ -129,6 +129,25 @@ class TestInfer:
         assert len(err.strip().splitlines()) == 1
         assert not dst.exists()
 
+    @pytest.mark.parametrize("value", [1e30, 1e20, 2801.0, -1001.0])
+    def test_slice_outside_hu_window_refused(self, tmp_path, capsys, value):
+        """The HU contract is refuse, not clip: one finite pixel outside
+        [-1000, 2800] HU ends the run with one error line that names the
+        slice's min and max, and no output file. No overflow warning is
+        printed on the way."""
+        ckpt = tmp_path / "t.mckp"
+        save_checkpoint(build_model(BASE8, seed=1), ckpt)
+        slice_hu = np.random.default_rng(4).uniform(-1000.0, 2800.0, (32, 32)).astype(np.float32)
+        slice_hu[5, 7] = value
+        src, dst = tmp_path / "in.mtsr", tmp_path / "out.mtsr"
+        tio.save_tensor(src, slice_hu)
+        code, _, err = run(capsys, "infer", "--ckpt", str(ckpt), "--input", str(src),
+                           "--output", str(dst))
+        assert code == 1
+        assert err.startswith("error: slice spans") and len(err.strip().splitlines()) == 1
+        assert f"{slice_hu.min():g} to {slice_hu.max():g} HU" in err
+        assert not dst.exists()
+
     def test_non_finite_output_rejected(self, tmp_path, capsys):
         """A checkpoint whose head bias is NaN loads (its CRC is valid), but
         the slice it restores is all NaN: no file, one error line."""
@@ -283,6 +302,17 @@ class TestEvalAndTrain:
         assert len(err.strip().splitlines()) == 1
         assert "mean," not in out
 
+    def test_eval_slice_outside_hu_window_names_pair(self, tmp_path, capsys):
+        ds, ckpt = self._dataset_and_checkpoint(tmp_path, capsys)
+        ma = tio.load_tensor(ds / "0002_ma.mtsr")
+        ma[0, 0] = 3000.0
+        tio.save_tensor(ds / "0002_ma.mtsr", ma)
+        code, out, err = run(capsys, "eval", "--ckpt", str(ckpt), "--data", str(ds))
+        assert code == 1
+        assert err.startswith(f"error: {ds} pair 0002: slice spans") and "to 3000 HU" in err
+        assert len(err.strip().splitlines()) == 1
+        assert "mean," not in out
+
     def test_eval_metric_refusal_names_pair(self, tmp_path, capsys):
         """An 8x8 slice restores, but SSIM's 11x11 window cannot score it;
         the error names the dataset and the pair like every other refusal."""
@@ -306,8 +336,17 @@ class TestEvalAndTrain:
         (lambda pairs: pairs[2].update(pair_id=[1]), "pair_id [1] is not int"),
         (lambda pairs: pairs[2].update(clean_path=5), "clean_path 5 is not str"),
         (lambda pairs: pairs[2].update(split="holdout"), "split 'holdout' is not one of"),
+        (lambda pairs: pairs[2].update(pair_id=5), "pair_id 5 is not its position"),
+        (lambda pairs: pairs.__setitem__(2, dict(pairs[1])), "pair_id 1 is not its position"),
+        (lambda pairs: pairs[2].update(clean_path="0001_clean.mtsr"),
+         "clean_path '0001_clean.mtsr' is also pair 1 clean_path"),
+        (lambda pairs: pairs[2].update(clean_path="0001_ma.mtsr"),
+         "clean_path '0001_ma.mtsr' is also pair 1 ma_path"),
+        (lambda pairs: pairs[2].update(ma_path="./0002_clean.mtsr"),
+         "ma_path './0002_clean.mtsr' is also pair 2 clean_path"),
     ], ids=["missing", "unknown", "outside", "not-object", "pair-id-list", "path-int",
-            "split-unknown"])
+            "split-unknown", "pair-id-position", "duplicate-record", "shared-path",
+            "cross-wired", "clean-is-ma"])
     def test_eval_bad_manifest_pair_rejected(self, tmp_path, capsys, edit, needle):
         ds, ckpt = self._dataset_and_checkpoint(tmp_path, capsys)
         # a readable slice outside the dataset, so only the path check can refuse it
@@ -326,7 +365,16 @@ class TestEvalAndTrain:
         (lambda m: {**m, "bogus": 1}, "unknown fields ['bogus']"),
         (lambda m: [m], "the top level is not a JSON object"),
         (lambda m: {**m, "pairs": "0000_clean.mtsr"}, "pairs is not a JSON list"),
-    ], ids=["missing", "unknown", "not-object", "pairs-not-list"])
+        (lambda m: {**m, "size": "32"}, "size '32' is not a positive multiple of 8"),
+        (lambda m: {**m, "size": 32.0}, "size 32.0 is not a positive multiple of 8"),
+        (lambda m: {**m, "size": 36}, "size 36 is not a positive multiple of 8"),
+        (lambda m: {**m, "size": 0}, "size 0 is not a positive multiple of 8"),
+        (lambda m: {**m, "n_pairs": 99}, "n_pairs 99 but 3 pairs listed"),
+        (lambda m: {**m, "spacing": None}, "spacing None is not 160 / 32 = 5.0 mm"),
+        (lambda m: {**m, "spacing": 5.01}, "spacing 5.01 is not 160 / 32 = 5.0 mm"),
+        (lambda m: {**m, "size": 64}, "spacing 5.0 is not 160 / 64 = 2.5 mm"),
+    ], ids=["missing", "unknown", "not-object", "pairs-not-list", "size-str", "size-float",
+            "size-36", "size-0", "n-pairs", "spacing-null", "spacing-off", "size-not-spacing"])
     @pytest.mark.parametrize("command", ["eval", "train"])
     def test_bad_manifest_rejected(self, tmp_path, capsys, edit, needle, command):
         ds, ckpt = self._dataset_and_checkpoint(tmp_path, capsys)
@@ -338,6 +386,30 @@ class TestEvalAndTrain:
         assert code == 1
         assert err.startswith(f"error: {ds / 'manifest.json'}: ") and needle in err
         assert len(err.strip().splitlines()) == 1
+
+
+    @pytest.mark.parametrize("command,pair", [("eval", 2), ("train", 0)])
+    @pytest.mark.parametrize("edit,shape", [
+        (lambda ds, pair: tio.save_tensor(ds / f"{pair:04d}_ma.mtsr",
+                                          np.zeros((32, 24), dtype=np.float32)), "(32, 24)"),
+        (lambda ds, pair: (ds / "manifest.json").write_text(json.dumps(
+            {**json.loads((ds / "manifest.json").read_text()), "size": 64, "spacing": 2.5})),
+         "(32, 32)"),
+    ], ids=["slice-32x24", "manifest-size-64"])
+    def test_slice_shape_must_match_manifest_size(self, tmp_path, capsys, edit, shape,
+                                                  command, pair):
+        """A slice that is not (size, size) is refused when its pair is loaded,
+        with one error line that names its file and shape."""
+        ds, ckpt = self._dataset_and_checkpoint(tmp_path, capsys)
+        edit(ds, pair)
+        args = (["--ckpt", str(ckpt)] if command == "eval"
+                else ["--preset", "T", "--epochs", "1", "--out", str(tmp_path / "run")])
+        code, out, err = run(capsys, command, "--data", str(ds), *args)
+        assert code == 1
+        assert err.startswith(f"error: {ds / f'{pair:04d}_ma.mtsr'}: pair {pair} slice has "
+                              f"shape {shape}, not (")
+        assert len(err.strip().splitlines()) == 1
+        assert "mean," not in out and "finished" not in out
 
 
 class TestGradcheckCommand:

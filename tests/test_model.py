@@ -1,6 +1,5 @@
 """Architecture tests: presets, shapes, identity-at-init, checkpoints, gradients."""
 
-import importlib
 import math
 import os
 import subprocess
@@ -12,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from scipy.fft import next_fast_len
 
 from ctmar import tensor as tensor_module
 from ctmar.model import (
@@ -305,7 +305,6 @@ class TestTransformerBlock:
         attention = (3 * c + reduced) * coarse + (2 * reduced + c) * plane
         ffn = 2 * 2 * hidden * plane
         bound = norms + attention + ffn + 64 * 1024
-        importlib.import_module("scipy.fft")    # the first FFT conv's one-time import
         _, retained, _ = traced_memory(lambda: tmean(block.forward(x)))
         assert retained <= bound, (retained, bound)
 
@@ -418,15 +417,30 @@ def t_with_drawn_head(seed):
 
 class TestNoGradInference:
     def test_forward_bit_identical_in_scope(self):
+        """Without a tape the feed-forward overwrites one hidden map in place;
+        the output bits must match the recorded forward's. At 128x128 the
+        level-1 FFT conv runs its 96 channels in seven blocks, so a block
+        written over before it is read would show. The input and every
+        parameter must be left as they were."""
         model = t_with_drawn_head(4)
-        x = rand_image(np.random.default_rng(15), 32, 32)
-        recorded = model.forward(x)
-        assert recorded._backward_fn is not None
-        with no_grad():
-            out = model.forward(x)
-        assert out._backward_fn is None and not out.requires_grad
-        assert not np.array_equal(out.data, x.data)
-        np.testing.assert_array_equal(out.data, recorded.data)
+        params_before = {name: t.data.copy() for name, t in model.named_params()}
+        for size, blocks in ((32, 1), (128, 7)):
+            # the level-1 FFT conv's channels per block, as _conv_dw_fft picks them
+            extent = next_fast_len(size + model.config.ffn_kernel // 2, real=True)
+            per_block = tensor_module._FFT_BLOCK // (extent * (extent // 2 + 1))
+            assert -(-model.enc1[0].ffn.conv_dw.weight.shape[0] // per_block) == blocks
+            x = rand_image(np.random.default_rng(15), size, size)
+            x_before = x.data.copy()
+            recorded = model.forward(x)
+            assert recorded._backward_fn is not None
+            with no_grad():
+                out = model.forward(x)
+            assert out._backward_fn is None and not out.requires_grad
+            assert not np.array_equal(out.data, x.data)
+            np.testing.assert_array_equal(out.data, recorded.data)
+            np.testing.assert_array_equal(x.data, x_before)
+            for name, t in model.named_params():
+                np.testing.assert_array_equal(t.data, params_before[name], err_msg=name)
 
     def test_restore_slice_leaves_grads_and_flags(self):
         model = t_with_drawn_head(5)
@@ -450,32 +464,34 @@ class TestNoGradInference:
         assert tape_free < 0.5 * recording, (tape_free, recording)
 
     def test_restore_slice_peak_memory_bounded_by_shapes(self, traced_memory):
-        """Preset T, one 128x128 f32 slice. The busiest moment is the
-        feed-forward's 7x7 depth-wise conv at level 1 (128x128, 48 channels,
-        hidden width 96). It must hold:
-        - two hidden-width maps, the conv's input and output;
-        - three model-width maps still bound by callers: the block input
-          in MARNet.forward, the post-attention residual in
-          TransformerBlock.forward and the norm2 output the feed-forward
-          reads;
+        """Preset T, one 128x128 f32 slice. The busiest moments are in the
+        level-1 blocks (128x128, 48 channels, hidden width 96). The peak
+        must stay within:
+        - one hidden-width map: without a tape, GELU, the 7x7 depth-wise
+          conv and GELU overwrite conv_in's output;
+        - two model-width maps: the post-attention residual that
+          TransformerBlock.forward adds back, and conv_out's output. No
+          caller keeps a block's input (MARNet.forward hands it over and
+          the block drops it at its first residual add), and the norm2
+          output goes once conv_in has read it;
         - the FFT's channel-block workspace: each spectrum block has at most
           _FFT_BLOCK complex64 values, and the loop holds at most four
           block-sized arrays (the previous block's spectrum, the new one,
           the tap spectrum or the cropped inverse, and the column pass's
           result where scipy does not overwrite in place);
         - a few single-channel f64 planes of the slice: four at most.
-        The gelus that follow need less: their input, their output and one
-        block of erf workspace.
+        A channel norm holds its input and two more model-width maps (the
+        centred map, divided in place, and the squares, which the output
+        overwrites), less than this sum.
         """
         model = t_with_drawn_head(7)
         size, width = 128, 48
         hidden = int(round(model.config.expansion * width))
         plane = size * size * np.dtype(np.float32).itemsize
-        bound = (2 * hidden * plane + 3 * width * plane
+        bound = (hidden * plane + 2 * width * plane
                  + 4 * tensor_module._FFT_BLOCK * np.dtype(np.complex64).itemsize
                  + 4 * size * size * np.dtype(np.float64).itemsize)
         hu = np.random.default_rng(18).uniform(-1000, 2800, size=(size, size))
-        importlib.import_module("scipy.fft")    # the first FFT conv's one-time import
         peak = traced_memory(lambda: restore_slice(model, hu))[2]
         assert peak <= bound, (peak, bound)
 

@@ -327,7 +327,7 @@ class TestMakeDataset:
         out = tmp_path / "ds"
         manifest = make_dataset(3, 32, seed=2, out_dir=out)
         for record in manifest.pairs:
-            ma, _clean = load_pair(out, record)[0], None
+            ma, _clean = load_pair(out, record, manifest.size)[0], None
             assert (ma >= 2800.0).sum() >= 10
 
     def test_indivisible_size_rejected(self, tmp_path):
@@ -337,7 +337,7 @@ class TestMakeDataset:
     def test_load_pair_returns_ma_then_clean(self, tmp_path):
         out = tmp_path / "ds"
         manifest = make_dataset(1, 32, seed=3, out_dir=out)
-        ma, clean = load_pair(out, manifest.pairs[0])
+        ma, clean = load_pair(out, manifest.pairs[0], manifest.size)
         assert ma.shape == clean.shape == (32, 32)
         # the MA slice saturates at the implant, the clean slice need not
         assert (ma >= 2800.0).sum() >= 10

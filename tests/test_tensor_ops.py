@@ -1,6 +1,5 @@
 """Forward-semantics tests for the tensor core, oracle values first."""
 
-import importlib
 import itertools
 import math
 import weakref
@@ -433,7 +432,6 @@ class TestGelu:
         block = tensor_module._GELU_BLOCK
         x = Tensor(np.linspace(-6.0, 6.0, 8 * block + 8).astype(dt), requires_grad=True)
         workspace = (4 if dt == np.float32 else 1) * block * x.data.itemsize
-        importlib.import_module("scipy.special")    # the first f64 erf's one-time import
         with no_grad():
             out, _, peak = traced_memory(lambda: gelu(x))
         assert peak <= out.data.nbytes + workspace + 16 * 1024, (peak, out.data.nbytes)
@@ -494,6 +492,19 @@ class TestLayernormChannels:
                 ref[0, :, i, j] = (v - v.mean()) / math.sqrt(v.var() + LAYERNORM_EPS) * gamma
         out = layernorm_channels(Tensor(x), Tensor(gamma))
         np.testing.assert_allclose(out.data, ref, rtol=1e-12)
+
+
+    def test_allocates_two_maps(self, traced_memory):
+        """The centred map is divided in place, and the squares that give the
+        variance are overwritten by the output, so a call allocates two
+        input-sized maps beside at most six one-channel planes (mean,
+        variance, inverse deviation and their temporaries); 16 KiB covers
+        the Python objects."""
+        x = Tensor(np.random.default_rng(7).normal(size=(1, 48, 64, 64)).astype(np.float32))
+        gamma = Tensor(np.ones(48, dtype=np.float32))
+        plane = x.data.nbytes // 48
+        _, _, peak = traced_memory(lambda: layernorm_channels(x, gamma))
+        assert peak <= 2 * x.data.nbytes + 6 * plane + 16 * 1024, (peak, x.data.nbytes)
 
 
 class TestMatmul:
