@@ -9,9 +9,11 @@ inference I/O.
 from __future__ import annotations
 
 import math
+import os
 import struct
+from contextlib import contextmanager
 from pathlib import Path
-from typing import BinaryIO, Union
+from typing import BinaryIO, Iterator, Union
 
 import numpy as np
 
@@ -38,6 +40,11 @@ def write_tensor(stream: BinaryIO, array: np.ndarray) -> int:
     stream.write(header)
     stream.write(payload)
     return len(header) + len(payload)
+
+
+def _record_size(shape, dtype: np.dtype) -> int:
+    """Bytes of the record ``write_tensor`` writes for an array of ``shape`` and ``dtype``."""
+    return 7 + 4 * len(shape) + math.prod(shape) * dtype.itemsize
 
 
 def read_tensor(stream: BinaryIO) -> np.ndarray:
@@ -71,8 +78,19 @@ def read_tensor(stream: BinaryIO) -> np.ndarray:
     return arr.astype(dt.newbyteorder("="), copy=True)
 
 
+@contextmanager
+def _atomic_write(path: Union[str, Path]) -> Iterator[Path]:
+    """Yield ``<path>.tmp`` to write, then rename it over ``path``, or remove it on failure."""
+    tmp = Path(f"{path}.tmp")
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def save_tensor(path: Union[str, Path], array: np.ndarray) -> None:
-    with open(path, "wb") as fh:
+    with _atomic_write(path) as tmp, open(tmp, "wb") as fh:
         write_tensor(fh, array)
 
 

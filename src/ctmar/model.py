@@ -18,6 +18,7 @@ import os
 import struct
 import zlib
 from dataclasses import dataclass
+from functools import partial
 from io import BytesIO
 from pathlib import Path
 from typing import Iterator, Tuple, Union
@@ -50,8 +51,8 @@ _ALLOWED_RATIOS = (1, 2, 4, 8, 16)
 CKPT_MAGIC = b"MCKP"
 CKPT_VERSION = 2                   # v2 adds the payload's CRC32; v1 has none, so it is refused
 _CKPT_KEYS = {"config", "crc32", "dtype", "manifest"}
-_ENTRY_TYPES = {"name": str, "offset": int, "shape": list, "dtype": str}
 _CRC_CHUNK = 1 << 20               # bytes per read while checking the payload CRC
+_json = partial(json.dumps, sort_keys=True)     # the header's text, for writing and comparing
 
 
 class ConfigError(ValueError):
@@ -426,6 +427,17 @@ def build_model(config: ModelConfig, seed: int = 0, dtype: str = "f32") -> MARNe
 # -- checkpoints ------------------------------------------------------------------
 
 
+def _checkpoint_header(model: MARNet, dtype: str, crc: int) -> dict:
+    """The JSON header ``save_checkpoint`` writes for ``model`` in ``dtype``: one
+    manifest entry per parameter in ``named_params`` order, each MTSR1 record
+    starting right after the last."""
+    entries, offset = [], 0
+    for name, t in model.named_params():
+        entries.append({"name": name, "offset": offset, "shape": list(t.shape), "dtype": dtype})
+        offset += tio._record_size(t.shape, _as_dtype(dtype))
+    return {"config": model.config.to_dict(), "crc32": crc, "dtype": dtype, "manifest": entries}
+
+
 def save_checkpoint(model: MARNet, path: Union[str, Path]) -> None:
     """Atomically write config, a tensor manifest, the payload's CRC32 and
     the MTSR1-encoded parameters (MCKP version 2), all in one dtype: mixed
@@ -433,55 +445,25 @@ def save_checkpoint(model: MARNet, path: Union[str, Path]) -> None:
     dtypes = sorted({t.dtype_name for t in model.params()})
     if len(dtypes) != 1:
         raise CheckpointError(f"{path}: parameters mix dtypes {dtypes}")
-    entries = []
     payload = BytesIO()
-    for name, t in model.named_params():
-        entries.append({"name": name, "offset": payload.tell(),
-                        "shape": list(t.shape), "dtype": t.dtype_name})
+    for t in model.params():
         tio.write_tensor(payload, t.data)
-    header = {
-        "config": model.config.to_dict(),
-        "crc32": zlib.crc32(payload.getbuffer()),
-        "dtype": dtypes[0],
-        "manifest": entries,
-    }
-    header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    tmp = Path(f"{path}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(CKPT_MAGIC + struct.pack("<BI", CKPT_VERSION, len(header_bytes)))
-            fh.write(header_bytes)
-            fh.write(payload.getbuffer())
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-
-
-def _check_header(path, header) -> None:
-    """Raise CheckpointError unless ``header`` has exactly the version 2 keys,
-    a known dtype, an unsigned 32-bit CRC and a list of well-typed manifest
-    entries in that dtype."""
-    if not isinstance(header, dict) or set(header) != _CKPT_KEYS:
-        raise CheckpointError(f"{path}: corrupt header (expected exactly the keys "
-                              f"{sorted(_CKPT_KEYS)})")
-    crc = header["crc32"]
-    if header["dtype"] not in ("f32", "f64") or type(crc) is not int \
-            or not 0 <= crc < 1 << 32 or not isinstance(header["manifest"], list):
-        raise CheckpointError(f"{path}: corrupt header (bad dtype, crc32 or manifest)")
-    for entry in header["manifest"]:
-        if not (isinstance(entry, dict) and set(entry) == set(_ENTRY_TYPES)
-                and all(type(entry[k]) is t for k, t in _ENTRY_TYPES.items())
-                and entry["offset"] >= 0 and entry["dtype"] == header["dtype"]
-                and all(type(e) is int and e >= 0 for e in entry["shape"])):
-            raise CheckpointError(f"{path}: corrupt manifest entry {str(entry)[:80]}")
+    header_bytes = _json(_checkpoint_header(model, dtypes[0],
+                                            zlib.crc32(payload.getbuffer()))).encode("utf-8")
+    with tio._atomic_write(path) as tmp, open(tmp, "wb") as fh:
+        fh.write(CKPT_MAGIC + struct.pack("<BI", CKPT_VERSION, len(header_bytes)))
+        fh.write(header_bytes)
+        fh.write(payload.getbuffer())
 
 
 def load_checkpoint(path: Union[str, Path]) -> MARNet:
     """Rebuild a model from a version 2 checkpoint in its dtype, bit-exactly.
 
-    The payload must match its CRC32, checked in one streaming pass before
-    any tensor is read, and each tensor must be in the header's dtype.
-    Every defect, a version 1 file (no CRC) too, raises CheckpointError.
+    The header must be exactly the one ``save_checkpoint`` writes for its
+    config, dtype and CRC32; the payload must match that CRC32, checked in
+    one streaming pass before any tensor is read, and each tensor must have
+    its parameter's shape and the header's dtype. Every defect, a version 1
+    file (no CRC) too, raises CheckpointError.
     """
     with open(path, "rb") as fh:
         head = fh.read(9)
@@ -496,37 +478,39 @@ def load_checkpoint(path: Union[str, Path]) -> MARNet:
             header = json.loads(fh.read(header_len).decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise CheckpointError(f"{path}: corrupt header ({exc})") from exc
-        _check_header(path, header)
+        if not isinstance(header, dict) or set(header) != _CKPT_KEYS \
+                or header["dtype"] not in ("f32", "f64") or type(header["crc32"]) is not int:
+            raise CheckpointError(f"{path}: corrupt header (expected exactly the keys "
+                                  f"{sorted(_CKPT_KEYS)}, dtype f32 or f64, an integer crc32)")
+        try:
+            model = MARNet(ModelConfig.from_dict(header["config"]))
+        except ConfigError as exc:
+            raise CheckpointError(f"{path}: bad embedded config ({exc})") from exc
+        want = _checkpoint_header(model, header["dtype"], header["crc32"])
+        if _json(header) != _json(want):
+            # want's config, dtype and crc32 are the header's own, so its manifest differs
+            got, entries = header["manifest"], want["manifest"]
+            if not isinstance(got, list) or len(got) != len(entries):
+                raise CheckpointError(f"{path}: the manifest does not list the "
+                                      f"{len(entries)} parameters of its config")
+            i = next(i for i, (g, w) in enumerate(zip(got, entries)) if _json(g) != _json(w))
+            raise CheckpointError(f"{path}: manifest entry {i} {_json(got[i])[:120]} is not "
+                                  f"{_json(entries[i])}, the entry save_checkpoint writes")
         crc = 0
         while chunk := fh.read(_CRC_CHUNK):
             crc = zlib.crc32(chunk, crc)
         if crc != header["crc32"]:
             raise CheckpointError(f"{path}: payload CRC32 {crc:08x} does not match "
                                   f"the header's {header['crc32']:08x}")
-        try:
-            config = ModelConfig.from_dict(header["config"])
-        except ConfigError as exc:
-            raise CheckpointError(f"{path}: bad embedded config ({exc})") from exc
-        model = MARNet(config)
-        params = dict(model.named_params())
-        names_found = set()
-        payload_start = 9 + header_len
-        for entry in header["manifest"]:
-            name = entry["name"]
-            if name not in params:
-                raise CheckpointError(f"{path}: unknown parameter {name!r}")
-            fh.seek(payload_start + entry["offset"])
+        fh.seek(9 + header_len)
+        for name, t in model.named_params():
             try:
                 arr = tio.read_tensor(fh)
             except tio.FormatError as exc:
                 raise CheckpointError(f"{path}: corrupt tensor {name!r} ({exc})") from exc
-            if list(arr.shape) != entry["shape"] or tuple(arr.shape) != params[name].shape:
+            if arr.shape != t.shape:
                 raise CheckpointError(f"{path}: shape mismatch for {name!r}")
             if arr.dtype != _as_dtype(header["dtype"]):     # the CRC does not cover the header
                 raise CheckpointError(f"{path}: {name!r} is {arr.dtype}, not {header['dtype']}")
-            params[name].data = arr
-            names_found.add(name)
-        missing = set(params) - names_found
-        if missing:
-            raise CheckpointError(f"{path}: missing parameters {sorted(missing)[:3]}...")
+            t.data = arr
     return model

@@ -375,12 +375,14 @@ MANIFEST_NAME = "manifest.json"
 SPLITS = ("train", "val", "test")
 
 
-def _split_for(index: int, n_pairs: int) -> str:
-    if index < max(1, int(n_pairs * 0.75)):
-        return "train"
-    if index < max(2, int(n_pairs * 0.875)):
-        return "val"
-    return "test"
+def _pair_record(index: int, n_pairs: int, mask_pixel_count: int) -> PairRecord:
+    """Pair ``index`` of an ``n_pairs`` dataset as ``make_dataset`` writes it: the first
+    three quarters (one pair at least) train, up to seven eighths val, the rest test."""
+    split = ("train" if index < max(1, int(n_pairs * 0.75))
+             else "val" if index < max(2, int(n_pairs * 0.875)) else "test")
+    return PairRecord(pair_id=index, clean_path=f"{index:04d}_clean.mtsr",
+                      ma_path=f"{index:04d}_ma.mtsr", split=split,
+                      mask_pixel_count=mask_pixel_count)
 
 
 def make_dataset(n_pairs: int, size: int, seed: int,
@@ -398,13 +400,11 @@ def make_dataset(n_pairs: int, size: int, seed: int,
         clean = jaw_phantom(size, rng)
         mask = random_metal_mask(clean, rng)
         ma = simulate_ma_pair(clean, mask)
-        clean_name, ma_name = f"{i:04d}_clean.mtsr", f"{i:04d}_ma.mtsr"
-        tio.save_tensor(out / clean_name, clean.astype(np.float32))
-        tio.save_tensor(out / ma_name, ma.astype(np.float32))
-        manifest.pairs.append(PairRecord(
-            pair_id=i, clean_path=clean_name, ma_path=ma_name,
-            split=_split_for(i, n_pairs), mask_pixel_count=int(mask.sum())))
-    with open(out / MANIFEST_NAME, "w", encoding="utf-8") as fh:
+        record = _pair_record(i, n_pairs, int(mask.sum()))
+        tio.save_tensor(out / record.clean_path, clean.astype(np.float32))
+        tio.save_tensor(out / record.ma_path, ma.astype(np.float32))
+        manifest.pairs.append(record)
+    with tio._atomic_write(out / MANIFEST_NAME) as tmp, open(tmp, "w", encoding="utf-8") as fh:
         json.dump(asdict(manifest), fh, indent=2, sort_keys=True)
         fh.write("\n")
     return manifest
@@ -421,32 +421,11 @@ def _check_fields(path: Path, what: str, entry, cls) -> None:
         raise ValueError(f"{path}: {what} has {' and '.join(problems)}")
 
 
-def _pair_record(path: Path, index: int, entry) -> PairRecord:
-    """Validate one manifest pair entry: exactly PairRecord's fields, each of
-    its declared type, ``pair_id`` equal to ``index``, a known split, and
-    slice paths that stay inside the manifest's directory."""
-    _check_fields(path, f"pair {index}", entry, PairRecord)
-    for f in fields(PairRecord):     # the annotations are strings: "int" or "str"
-        if type(entry[f.name]).__name__ != f.type:
-            raise ValueError(f"{path}: pair {index} {f.name} {entry[f.name]!r} is not {f.type}")
-    if entry["pair_id"] != index:
-        raise ValueError(f"{path}: pair {index} pair_id {entry['pair_id']} is not its position")
-    if entry["split"] not in SPLITS:
-        raise ValueError(f"{path}: pair {index} split {entry['split']!r} "
-                         f"is not one of {', '.join(SPLITS)}")
-    base = path.parent.resolve()
-    for key in ("clean_path", "ma_path"):
-        if not (base / entry[key]).resolve().is_relative_to(base):
-            raise ValueError(f"{path}: pair {index} {key} {entry[key]!r} "
-                             f"is outside the dataset directory")
-    return PairRecord(**entry)
-
-
 def load_manifest(data_dir: Union[str, Path]) -> DatasetManifest:
-    """Read and validate a dataset's manifest: exactly DatasetManifest's
-    fields at the top level, a size that is a positive multiple of 8 with
-    the spacing ``FIELD_MM / size``, ``n_pairs`` valid pair records whose
-    ``pair_id`` is their position, and no slice path named twice."""
+    """Read and validate a dataset's manifest: exactly DatasetManifest's fields,
+    an integer seed, a size that is a positive multiple of 8 with the spacing
+    ``FIELD_MM / size``, and ``n_pairs`` pairs that are what ``make_dataset``
+    writes (``_pair_record``) but for an integer ``mask_pixel_count``."""
     path = Path(data_dir) / MANIFEST_NAME
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
@@ -454,21 +433,31 @@ def load_manifest(data_dir: Union[str, Path]) -> DatasetManifest:
     size, pairs = payload["size"], payload.pop("pairs")
     if type(size) is not int or size < 8 or size % 8:
         raise ValueError(f"{path}: size {size!r} is not a positive multiple of 8")
-    if payload["spacing"] != FIELD_MM / size:
+    if json.dumps(payload["spacing"]) != json.dumps(FIELD_MM / size):
         raise ValueError(f"{path}: spacing {payload['spacing']!r} is not "
                          f"{FIELD_MM:g} / {size} = {FIELD_MM / size!r} mm")
+    if type(payload["seed"]) is not int:
+        raise ValueError(f"{path}: seed {payload['seed']!r} is not int")
     if not isinstance(pairs, list):
         raise ValueError(f"{path}: pairs is not a JSON list")
     if payload["n_pairs"] != len(pairs) or type(payload["n_pairs"]) is not int:
         raise ValueError(f"{path}: n_pairs {payload['n_pairs']!r} but {len(pairs)} pairs listed")
-    records = [_pair_record(path, i, p) for i, p in enumerate(pairs)]
-    owner = {}
-    for record in records:
-        for key in ("clean_path", "ma_path"):
-            slot = f"pair {record.pair_id} {key}"
-            other = owner.setdefault((path.parent / getattr(record, key)).resolve(), slot)
-            if other != slot:
-                raise ValueError(f"{path}: {slot} {getattr(record, key)!r} is also {other}")
+    records = []
+    for i, entry in enumerate(pairs):
+        _check_fields(path, f"pair {i}", entry, PairRecord)
+        if type(entry["mask_pixel_count"]) is not int:
+            raise ValueError(f"{path}: pair {i} mask_pixel_count "
+                             f"{entry['mask_pixel_count']!r} is not int")
+        record = _pair_record(i, len(pairs), entry["mask_pixel_count"])
+        for key, value in asdict(record).items():
+            if json.dumps(entry[key]) != json.dumps(value):     # so 1.0 and true are not 1
+                raise ValueError(f"{path}: pair {i} {key} {entry[key]!r} is not {value!r}")
+        records.append(record)
+    # the names are fixed, but a slice file may be a link to another or out of the directory
+    base = path.parent.resolve()
+    files = {(base / name).resolve() for r in records for name in (r.clean_path, r.ma_path)}
+    if len(files) != 2 * len(records) or not all(f.is_relative_to(base) for f in files):
+        raise ValueError(f"{path}: the slice paths name a file twice or outside {base}")
     return DatasetManifest(**payload, pairs=records)
 
 

@@ -17,6 +17,7 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from . import io as tio
 from . import metrics
 from .model import MARNet, ModelConfig, build_model, save_checkpoint
 from .simulate import HU_MAX, HU_MIN, load_manifest, load_pair
@@ -132,7 +133,7 @@ class CurvePoint:
 
 
 def write_curve_csv(path: Union[str, Path], curve: Sequence[CurvePoint]) -> None:
-    with open(path, "w", newline="") as fh:
+    with tio._atomic_write(path) as tmp, open(tmp, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["step", "epoch", "lr", "loss"])
         for point in curve:
@@ -212,16 +213,21 @@ class MetricsReport:
     mean_ssim: float = 0.0
 
 
+def _check_hu(hu: np.ndarray, what: str) -> None:
+    """ValueError unless every value of ``hu`` is finite and inside [HU_MIN, HU_MAX]."""
+    if not np.isfinite(hu).all():
+        raise ValueError(f"{what} has non-finite values")
+    if (hu < HU_MIN).any() or (hu > HU_MAX).any():
+        raise ValueError(f"{what} spans {hu.min():g} to {hu.max():g} HU, outside the "
+                         f"{HU_MIN:g} to {HU_MAX:g} HU window")
+
+
 def restore_slice(model: MARNet, hu: np.ndarray) -> np.ndarray:
     """Run one (H,W) HU slice through the model in its parameter dtype,
     recording no tape; returns HU. A slice with a value that is not finite
     or lies outside [HU_MIN, HU_MAX] is refused, not clipped: ValueError,
     as for a restored slice that is not finite."""
-    if not np.isfinite(hu).all():
-        raise ValueError("slice has non-finite values")
-    if (hu < HU_MIN).any() or (hu > HU_MAX).any():
-        raise ValueError(f"slice spans {hu.min():g} to {hu.max():g} HU, outside the "
-                         f"{HU_MIN:g} to {HU_MAX:g} HU window")
+    _check_hu(hu, "slice")
     x = normalize(hu, model.intro.weight.data.dtype)
     with no_grad():
         out = model.forward(Tensor(x[None, None])).data[0, 0]
@@ -234,8 +240,7 @@ def evaluate(model: MARNet, data_dir: Union[str, Path], split: str = "test") -> 
     report = MetricsReport()
     for image_id, ma, clean in load_split(data_dir, split):
         try:
-            if not np.isfinite(clean).all():
-                raise ValueError("clean slice has non-finite values")
+            _check_hu(clean, "clean slice")
             restored = restore_slice(model, ma)
             report.rows.append((image_id,
                                 metrics.psnr(restored, clean, HU_DATA_RANGE),
@@ -248,7 +253,7 @@ def evaluate(model: MARNet, data_dir: Union[str, Path], split: str = "test") -> 
 
 
 def write_metrics_csv(path: Union[str, Path], report: MetricsReport) -> None:
-    with open(path, "w", newline="") as fh:
+    with tio._atomic_write(path) as tmp, open(tmp, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["image_id", "psnr_db", "ssim"])
         for image_id, p, s in report.rows:

@@ -302,6 +302,21 @@ class TestEvalAndTrain:
         assert len(err.strip().splitlines()) == 1
         assert "mean," not in out
 
+    @pytest.mark.parametrize("value", [1e30, 3000.0])
+    def test_eval_clean_slice_outside_hu_window_rejected(self, tmp_path, capsys, value):
+        """The clean slice is held to the MA slice's HU window: a finite value
+        outside it is refused, not scored."""
+        ds, ckpt = self._dataset_and_checkpoint(tmp_path, capsys)
+        clean = tio.load_tensor(ds / "0002_clean.mtsr")
+        clean[5, 7] = value
+        tio.save_tensor(ds / "0002_clean.mtsr", clean)
+        code, out, err = run(capsys, "eval", "--ckpt", str(ckpt), "--data", str(ds))
+        assert code == 1
+        assert err.startswith(f"error: {ds} pair 0002: clean slice spans")
+        assert f"to {value:g} HU" in err
+        assert len(err.strip().splitlines()) == 1
+        assert "mean," not in out
+
     def test_eval_slice_outside_hu_window_names_pair(self, tmp_path, capsys):
         ds, ckpt = self._dataset_and_checkpoint(tmp_path, capsys)
         ma = tio.load_tensor(ds / "0002_ma.mtsr")
@@ -333,23 +348,24 @@ class TestEvalAndTrain:
         (lambda pairs: pairs[2].update(clean_path="../outside.mtsr"), "outside"),
         (lambda pairs: pairs.__setitem__(2, ["0002_clean.mtsr", "0002_ma.mtsr"]),
          "not a JSON object"),
-        (lambda pairs: pairs[2].update(pair_id=[1]), "pair_id [1] is not int"),
-        (lambda pairs: pairs[2].update(clean_path=5), "clean_path 5 is not str"),
-        (lambda pairs: pairs[2].update(split="holdout"), "split 'holdout' is not one of"),
-        (lambda pairs: pairs[2].update(pair_id=5), "pair_id 5 is not its position"),
-        (lambda pairs: pairs.__setitem__(2, dict(pairs[1])), "pair_id 1 is not its position"),
+        (lambda pairs: pairs[2].update(pair_id=[1]), "pair 2 pair_id [1] is not 2"),
+        (lambda pairs: pairs[2].update(clean_path=5),
+         "pair 2 clean_path 5 is not '0002_clean.mtsr'"),
+        (lambda pairs: pairs[2].update(split="holdout"), "pair 2 split 'holdout' is not 'test'"),
+        (lambda pairs: pairs[2].update(pair_id=5), "pair 2 pair_id 5 is not 2"),
+        (lambda pairs: pairs.__setitem__(2, dict(pairs[1])), "pair 2 pair_id 1 is not 2"),
         (lambda pairs: pairs[2].update(clean_path="0001_clean.mtsr"),
-         "clean_path '0001_clean.mtsr' is also pair 1 clean_path"),
+         "pair 2 clean_path '0001_clean.mtsr' is not '0002_clean.mtsr'"),
         (lambda pairs: pairs[2].update(clean_path="0001_ma.mtsr"),
-         "clean_path '0001_ma.mtsr' is also pair 1 ma_path"),
+         "pair 2 clean_path '0001_ma.mtsr' is not '0002_clean.mtsr'"),
         (lambda pairs: pairs[2].update(ma_path="./0002_clean.mtsr"),
-         "ma_path './0002_clean.mtsr' is also pair 2 clean_path"),
+         "pair 2 ma_path './0002_clean.mtsr' is not '0002_ma.mtsr'"),
     ], ids=["missing", "unknown", "outside", "not-object", "pair-id-list", "path-int",
             "split-unknown", "pair-id-position", "duplicate-record", "shared-path",
             "cross-wired", "clean-is-ma"])
     def test_eval_bad_manifest_pair_rejected(self, tmp_path, capsys, edit, needle):
         ds, ckpt = self._dataset_and_checkpoint(tmp_path, capsys)
-        # a readable slice outside the dataset, so only the path check can refuse it
+        # a readable slice outside the dataset, so a refusal is not for a missing file
         tio.save_tensor(tmp_path / "outside.mtsr", tio.load_tensor(ds / "0002_clean.mtsr"))
         manifest = json.loads((ds / "manifest.json").read_text())
         edit(manifest["pairs"])

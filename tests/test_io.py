@@ -1,6 +1,7 @@
-"""MTSR1 tensor-file format tests."""
+"""MTSR1 tensor-file format tests, and the atomic write every file writer shares."""
 
 import io
+import os
 import struct
 
 import numpy as np
@@ -8,14 +9,20 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ctmar.io import FormatError, load_tensor, read_tensor, save_tensor, write_tensor
+from ctmar.io import FormatError, _record_size, load_tensor, read_tensor, save_tensor, write_tensor
+from ctmar.model import build_model, save_checkpoint
+from ctmar.simulate import make_dataset
+from ctmar.train import (GRADCHECK_CONFIG, CurvePoint, MetricsReport, write_curve_csv,
+                         write_metrics_csv)
 
 
 def roundtrip(arr):
     buf = io.BytesIO()
-    write_tensor(buf, arr)
+    size = write_tensor(buf, arr)
     buf.seek(0)
-    return read_tensor(buf)
+    back = read_tensor(buf)
+    assert size == _record_size(back.shape, back.dtype)
+    return back
 
 
 def test_roundtrip_f32_and_f64():
@@ -148,3 +155,39 @@ def test_corrupt_extent_does_not_size_the_read():
 
     with pytest.raises(FormatError, match="truncated payload"):
         read_tensor(Guarded(bytes(raw)))
+
+
+# each writer, as (file it writes under tmp_path, write(path, seed))
+WRITERS = {
+    "checkpoint": ("model.mckp", lambda path, seed: save_checkpoint(
+        build_model(GRADCHECK_CONFIG, seed=seed), path)),
+    "tensor": ("slice.mtsr", lambda path, seed: save_tensor(
+        path, np.full((2, 3), seed, dtype=np.float32))),
+    "manifest": ("ds/manifest.json", lambda path, seed: make_dataset(1, 8, seed, path.parent)),
+    "curve": ("loss_curve.csv", lambda path, seed: write_curve_csv(
+        path, [CurvePoint(step=1, epoch=0, lr=1e-3, loss=seed)])),
+    "metrics": ("metrics.csv", lambda path, seed: write_metrics_csv(
+        path, MetricsReport(rows=[("0000", seed, 0.5)], mean_psnr=seed, mean_ssim=0.5))),
+}
+
+
+@pytest.mark.parametrize("writer", WRITERS)
+def test_failed_write_keeps_previous_file(tmp_path, monkeypatch, writer):
+    """A write that fails at its final rename leaves the previous file whole
+    and no temporary file beside it."""
+    name, write = WRITERS[writer]
+    path = tmp_path / name
+    write(path, 1)
+    before, listing = path.read_bytes(), sorted(p.name for p in path.parent.iterdir())
+    real_replace = os.replace
+
+    def failing_replace(src, dst):
+        if os.fspath(dst) == os.fspath(path):
+            raise OSError("disk full")
+        real_replace(src, dst)
+
+    monkeypatch.setattr("os.replace", failing_replace)
+    with pytest.raises(OSError, match="disk full"):
+        write(path, 2)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in path.parent.iterdir()) == listing

@@ -25,6 +25,7 @@ from ctmar.model import (
     STAGES,
     TransformerBlock,
     Upsample,
+    _checkpoint_header,
     build_model,
     load_checkpoint,
     preset,
@@ -611,17 +612,13 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_record_dtype_must_match_header(self, tmp_path):
-        """The header is outside the CRC: relabelling an f64 payload as f32
-        keeps the CRC valid, and the load is refused, not cast."""
+        """The header is outside the CRC: relabelling an f64 payload as f32,
+        with the f32 offsets, keeps the CRC valid and the header what
+        save_checkpoint writes, and the load is refused, not cast."""
         path = tmp_path / "model.mckp"
         save_checkpoint(build_model(TINY, seed=1, dtype="f64"), path)
-
-        def relabel(header):
-            header["dtype"] = "f32"
-            for entry in header["manifest"]:
-                entry["dtype"] = "f32"
-
-        self.rewrite_header(path, relabel)
+        self.rewrite_header(path, lambda header: header.update(
+            _checkpoint_header(MARNet(TINY), "f32", header["crc32"])))
         with pytest.raises(CheckpointError, match="float64, not f32"):
             load_checkpoint(path)
 
@@ -664,20 +661,6 @@ class TestCheckpoint:
         path.write_bytes(raw[:len(raw) - 40])
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
-
-    def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
-        path = tmp_path / "model.mckp"
-        save_checkpoint(build_model(TINY, seed=1), path)
-        before = path.read_bytes()
-
-        def failing_replace(src, dst):
-            raise OSError("disk full")
-
-        monkeypatch.setattr("os.replace", failing_replace)
-        with pytest.raises(OSError, match="disk full"):
-            save_checkpoint(build_model(TINY, seed=2), path)
-        assert path.read_bytes() == before
-        assert [p.name for p in tmp_path.iterdir()] == ["model.mckp"]
 
     def test_manifest_sizes_match_count(self, tmp_path):
         import json as _json

@@ -1,10 +1,12 @@
 """Simulator tests: conversions, projection, reconstruction, MA pairs, datasets."""
 
+import json
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.ndimage import gaussian_filter, map_coordinates
 
@@ -333,6 +335,58 @@ class TestMakeDataset:
     def test_indivisible_size_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             make_dataset(2, 30, seed=0, out_dir=tmp_path / "x")
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_edited_manifest_refused(self, tmp_path, data):
+        """Drop, retype or change one field of the top level or of one pair of
+        a written manifest: load_manifest refuses it with a ValueError naming
+        the manifest, unless the JSON is unchanged. The seed and a pair's
+        mask_pixel_count record how the data were drawn, which the files cannot
+        confirm, so another integer there loads."""
+        out = tmp_path / "ds"
+        if not out.exists():
+            make_dataset(3, 8, seed=4, out_dir=out)
+            (tmp_path / "good.json").write_bytes((out / "manifest.json").read_bytes())
+        good = json.loads((tmp_path / "good.json").read_text())
+        edited = json.loads((tmp_path / "good.json").read_text())
+        where = data.draw(st.sampled_from(["top", 0, 1, 2]), label="where")
+        target = edited if where == "top" else edited["pairs"][where]
+        key = data.draw(st.sampled_from(sorted(target)), label="field")
+        old = target[key]
+        retyped = [json.dumps(old), [old], {"value": old}, None]
+        retyped += [float(old), bool(old)] if type(old) is int else []
+        retyped += [int(old)] if type(old) is float else []
+        seen = [v for k, v in good.items() if k != "pairs"] + \
+            [v for pair in good["pairs"] for v in pair.values()]
+        action = data.draw(st.sampled_from(["drop", "retype", "change"]), label="action")
+        if action == "drop":
+            del target[key]
+        else:
+            target[key] = data.draw(st.sampled_from(retyped) if action == "retype" else st.one_of(
+                st.sampled_from(seen), st.integers(-3, 10 ** 6), st.text(max_size=20),
+                st.floats(allow_nan=False, allow_infinity=False),
+                st.lists(st.integers(0, 3), max_size=3)), label="value")
+        (out / "manifest.json").write_text(json.dumps(edited))
+        unchecked = key in ("seed", "mask_pixel_count") and type(target.get(key)) is int
+        if json.dumps(edited, sort_keys=True) == json.dumps(good, sort_keys=True) or unchecked:
+            load_manifest(out)
+        else:
+            with pytest.raises(ValueError, match=re.escape(f"{out / 'manifest.json'}: ")):
+                load_manifest(out)
+
+    @pytest.mark.parametrize("link_to", ["0001_clean.mtsr", "0002_ma.mtsr", "../outside.mtsr"])
+    def test_linked_slice_refused(self, tmp_path, link_to):
+        """A slice file linked to another of the dataset's slices, or out of its
+        directory, is refused, though the manifest names it as make_dataset does."""
+        out = tmp_path / "ds"
+        make_dataset(3, 8, seed=1, out_dir=out)
+        (tmp_path / "outside.mtsr").write_bytes((out / "0001_clean.mtsr").read_bytes())
+        (out / "0002_clean.mtsr").unlink()
+        (out / "0002_clean.mtsr").symlink_to(link_to)
+        with pytest.raises(ValueError, match="name a file twice or outside"):
+            load_manifest(out)
 
     def test_load_pair_returns_ma_then_clean(self, tmp_path):
         out = tmp_path / "ds"

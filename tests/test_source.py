@@ -47,3 +47,31 @@ def test_no_unused_imports(path):
                 if name not in read:
                     unused.append(f"{name} (line {node.lineno})")
     assert not unused, f"{path.name} imports names it never uses: {', '.join(sorted(unused))}"
+
+
+def module_level_names(tree):
+    """The names a module's top-level statements bind by assignment, def or class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                yield from (n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_no_dead_private_names(path):
+    """Every module-level ``_name`` is read somewhere in the package, as a
+    name or as a module attribute (``tio._atomic_write``)."""
+    read = set()
+    for module in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(module.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    dead = sorted({name for name in module_level_names(tree)
+                   if name.startswith("_") and not name.startswith("__") and name not in read})
+    assert not dead, f"{path.name} defines private names nothing reads: {', '.join(dead)}"
