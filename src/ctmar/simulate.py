@@ -461,15 +461,26 @@ def load_manifest(data_dir: Union[str, Path]) -> DatasetManifest:
     return DatasetManifest(**payload, pairs=records)
 
 
+def _check_hu(hu: np.ndarray, what: str) -> None:
+    """ValueError unless every value of ``hu`` is finite and inside [HU_MIN, HU_MAX]."""
+    if not np.isfinite(hu).all():
+        raise ValueError(f"{what} has non-finite values")
+    if (hu < HU_MIN).any() or (hu > HU_MAX).any():
+        raise ValueError(f"{what} spans {hu.min():g} to {hu.max():g} HU, outside the "
+                         f"{HU_MIN:g} to {HU_MAX:g} HU window")
+
+
 def load_pair(data_dir: Union[str, Path], record: PairRecord,
               size: int) -> Tuple[np.ndarray, np.ndarray]:
-    """The (MA, clean) slices of ``record``; ValueError unless each is (size, size)."""
+    """The (MA, clean) slices of ``record``; ValueError unless each is (size, size),
+    finite and inside the HU window."""
     slices = []
-    for key in ("ma_path", "clean_path"):
+    for key, what in (("ma_path", "slice"), ("clean_path", "clean slice")):
         where = Path(data_dir) / getattr(record, key)
         arr = tio.load_tensor(where)
         if arr.shape != (size, size):
             raise ValueError(f"{where}: pair {record.pair_id} slice has shape "
                              f"{arr.shape}, not ({size}, {size})")
+        _check_hu(arr, f"{data_dir} pair {record.pair_id:04d}: {what}")
         slices.append(arr)
     return slices[0], slices[1]

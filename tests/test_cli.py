@@ -427,6 +427,30 @@ class TestEvalAndTrain:
         assert len(err.strip().splitlines()) == 1
         assert "mean," not in out and "finished" not in out
 
+    @pytest.mark.parametrize("command,pair", [("eval", 2), ("train", 0)], ids=["eval", "train"])
+    @pytest.mark.parametrize("role,what", [("ma", "slice"), ("clean", "clean slice")],
+                             ids=["ma", "clean"])
+    @pytest.mark.parametrize("value,needle", [(np.nan, "has non-finite values"),
+                                              (1e30, "spans"), (3000.0, "spans")],
+                             ids=["nan", "1e30", "3000"])
+    def test_slice_outside_hu_window_refused(self, tmp_path, capsys, value, needle,
+                                             role, what, command, pair):
+        """Either slice of a pair that is not finite, or lies outside the
+        [-1000, 2800] HU window, is refused when its pair is loaded: train
+        writes no checkpoint and eval scores nothing."""
+        ds, ckpt = self._dataset_and_checkpoint(tmp_path, capsys)
+        slice_hu = tio.load_tensor(ds / f"{pair:04d}_{role}.mtsr")
+        slice_hu[5, 7] = value
+        tio.save_tensor(ds / f"{pair:04d}_{role}.mtsr", slice_hu)
+        args = (["--ckpt", str(ckpt)] if command == "eval"
+                else ["--preset", "T", "--epochs", "1", "--out", str(tmp_path / "run")])
+        code, out, err = run(capsys, command, "--data", str(ds), *args)
+        assert code == 1
+        assert err.startswith(f"error: {ds} pair {pair:04d}: {what} {needle}")
+        assert len(err.strip().splitlines()) == 1
+        assert "mean," not in out and "finished" not in out
+        assert not (tmp_path / "run" / "model_final.mckp").exists()
+
 
 class TestGradcheckCommand:
     def test_reports_pass(self, capsys):

@@ -2,6 +2,7 @@
 
 import math
 import os
+import struct
 import subprocess
 import sys
 import textwrap
@@ -538,15 +539,15 @@ class TestCheckpoint:
 
     @staticmethod
     def rewrite_header(path, mutate, version=None):
-        """Re-encode the JSON header after ``mutate(header)``, keeping the payload."""
+        """Re-encode the JSON header after ``mutate(header)``, keeping the payload;
+        a list that ``mutate`` returns is written in place of the header."""
         import json as _json
-        import struct as _struct
         raw = path.read_bytes()
-        old_version, header_len = _struct.unpack("<BI", raw[4:9])
+        old_version, header_len = struct.unpack("<BI", raw[4:9])
         header = _json.loads(raw[9:9 + header_len])
-        mutate(header)
-        body = _json.dumps(header).encode()
-        path.write_bytes(raw[:4] + _struct.pack("<BI", version or old_version, len(body))
+        edited = mutate(header)
+        body = _json.dumps(edited if isinstance(edited, list) else header).encode()
+        path.write_bytes(raw[:4] + struct.pack("<BI", version or old_version, len(body))
                          + body + raw[9 + header_len:])
 
     @pytest.mark.parametrize("mutate", [
@@ -558,13 +559,29 @@ class TestCheckpoint:
         lambda h: h["manifest"][0].pop("dtype"),
         lambda h: h["manifest"][1].update(extra=1),
         lambda h: h.update(crc32="0"),
+        lambda h: [h],
+        lambda h: h.update(crc32=True),
+        lambda h: h.update(dtype=["f32"]),
+        lambda h: h["config"].pop("fixed_width"),
     ], ids=["no-dtype", "extra-key", "bad-dtype", "manifest-not-list", "offset-not-int",
-            "entry-no-dtype", "entry-extra-key", "crc-not-int"])
+            "entry-no-dtype", "entry-extra-key", "crc-not-int", "header-list", "crc-bool",
+            "dtype-list", "config-missing-field"])
     def test_corrupt_header_rejected(self, tmp_path, mutate):
+        """Every header that is not the one save_checkpoint writes is refused
+        as a corrupt header, whatever part of it was edited."""
         path = tmp_path / "model.mckp"
         save_checkpoint(build_model(TINY, seed=1), path)
         self.rewrite_header(path, mutate)
-        with pytest.raises(CheckpointError):
+        with pytest.raises(CheckpointError, match="corrupt header"):
+            load_checkpoint(path)
+
+    def test_deeply_nested_header_rejected(self, tmp_path):
+        """JSON nested past the parser's recursion limit is a corrupt header
+        too, not a RecursionError."""
+        path = tmp_path / "model.mckp"
+        body = b"[" * 100_000 + b"]" * 100_000
+        path.write_bytes(b"MCKP" + struct.pack("<BI", 2, len(body)) + body)
+        with pytest.raises(CheckpointError, match="corrupt header"):
             load_checkpoint(path)
 
     def test_corrupt_header_bit_flip_rejected(self, tmp_path):
@@ -628,9 +645,10 @@ class TestCheckpoint:
     def test_truncation_or_bit_flip_raises_only_checkpoint_error(self, tmp_path, data):
         """Cut a checkpoint at any length, or flip any one bit: load_checkpoint
         raises CheckpointError and nothing else. A payload flip fails the
-        CRC32; a header flip fails the JSON, the key and type checks, the
-        config or the shapes (a sweep over all 79,240 bits before this
-        file's payload found none that loads)."""
+        CRC32; a header flip fails the JSON, the rebuild of the header from
+        its config, dtype and crc32, or the comparison with that rebuilt
+        header (a sweep over all 79,240 bits before this file's payload
+        found none that loads)."""
         path = tmp_path / "model.mckp"
         if not path.exists():
             save_checkpoint(build_model(TINY, seed=1), path)

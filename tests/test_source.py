@@ -1,6 +1,7 @@
 """Source hygiene checks over the ``ctmar`` package."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -75,3 +76,17 @@ def test_no_dead_private_names(path):
     dead = sorted({name for name in module_level_names(tree)
                    if name.startswith("_") and not name.startswith("__") and name not in read})
     assert not dead, f"{path.name} defines private names nothing reads: {', '.join(dead)}"
+
+
+def test_exceptions_reach_the_cli_as_one_line():
+    """Every exception class ``ctmar`` defines derives from ValueError or
+    RuntimeError, the classes ``cli.main`` reports as one ``error:`` line,
+    so a new error type cannot reach a user as a traceback."""
+    defined = [obj for path in MODULES
+               for obj in vars(importlib.import_module(f"ctmar.{path.stem}")).values()
+               if isinstance(obj, type) and issubclass(obj, BaseException)
+               and obj.__module__ == f"ctmar.{path.stem}"]
+    assert len(defined) >= 6
+    leaks = [f"{cls.__module__}.{cls.__name__}" for cls in defined
+             if not issubclass(cls, (ValueError, RuntimeError))]
+    assert not leaks, f"exception classes cli.main does not report: {', '.join(leaks)}"
