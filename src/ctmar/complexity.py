@@ -34,8 +34,8 @@ def count_params(model: MARNet) -> int:
 def estimate_flops(config: ModelConfig, height: int, width: int) -> CostReport:
     """Analytic cost of one forward pass on a height x width slice.
 
-    Builds ``MARNet(config)``, so each call pays for one model
-    build with zeroed weights. Then it sums, per ``STAGES`` key, the sizes of
+    Builds ``MARNet(config)``, whose conv weights are placeholders that
+    allocate nothing. Then it sums, per ``STAGES`` key, the sizes of
     the stage's parameters and its modules' ``macs`` at the grid the
     stage runs on: ``down`` halves the grid and ``up`` doubles it.
     """

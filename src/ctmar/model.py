@@ -209,7 +209,11 @@ class Module:
 class Conv2d(Module):
     def __init__(self, c_in: int, c_out: int, k: int, stride: int = 1, groups: int = 1,
                  bias: bool = False):
-        self.weight = Tensor(np.zeros((c_out, c_in // groups, k, k)), requires_grad=True)
+        self.weight = Tensor(np.zeros(0), requires_grad=True)
+        # a zero-stride placeholder: ``initialize`` and ``load_checkpoint``
+        # replace it, so a model that is only measured or compared allocates
+        # no conv weights
+        self.weight.data = np.broadcast_to(0.0, (c_out, c_in // groups, k, k))
         self.bias = Tensor(np.zeros(c_out), requires_grad=True) if bias else None
         self.stride = stride
         self.groups = groups
@@ -368,9 +372,10 @@ class Upsample(Module):
 class MARNet(Module):
     """The end-to-end restorer: encoder levels, bottleneck, decoder, residual add.
 
-    Parameters start as float64 zeros (ones for the norm gains): ``build_model``
-    draws and casts them, ``load_checkpoint`` replaces them and the cost
-    accountant reads only their sizes.
+    Parameters start as float64 zeros (ones for the norm gains), the conv
+    weights as read-only zero-stride views that allocate nothing:
+    ``build_model`` draws and casts them, ``load_checkpoint`` replaces them
+    and the cost accountant reads only their sizes.
     """
 
     def __init__(self, config: ModelConfig):
@@ -476,7 +481,13 @@ def load_checkpoint(path: Union[str, Path]) -> MARNet:
             raise CheckpointError(f"{path}: truncated header")
         try:
             header = json.loads(fh.read(header_len).decode("utf-8"))
-            model = MARNet(ModelConfig.from_dict(header["config"]))
+            config = ModelConfig.from_dict(header["config"])
+            # every block has parameters, so a config with more blocks than
+            # the manifest has entries cannot be this file's
+            if sum(config.num_blocks) > len(header["manifest"]):
+                raise ValueError(f"{sum(config.num_blocks)} blocks but "
+                                 f"{len(header['manifest'])} manifest entries")
+            model = MARNet(config)
             want = _checkpoint_header(model, header["dtype"], header["crc32"])
         except (ValueError, KeyError, TypeError, RecursionError) as exc:
             raise CheckpointError(f"{path}: corrupt header ({exc})") from exc

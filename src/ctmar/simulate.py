@@ -28,6 +28,7 @@ METAL_PIXELS = (10, 200)   # least and most implant pixels in a metal-artifact s
 FIELD_MM = 160.0           # physical field of view represented by a slice
 BEAM_HARDENING = 0.3       # strength of the s + b s^2 / (1 + s) distortion on metal rays
 _SAMPLE_BLOCK = 1 << 13    # samples per bilinear block; its temporaries stay in cache
+_ANGLE_BLOCK = 4           # angles whose ray supports are found together; more grew the heap
 
 
 @dataclass
@@ -60,17 +61,26 @@ def _default_detectors(size: int) -> int:
     return int(math.ceil(size * math.sqrt(2.0)))
 
 
-def _slab(origin: np.ndarray, direction: float, lo: float,
-          hi: float) -> Tuple[np.ndarray, np.ndarray]:
+def _slab(origin: np.ndarray, direction: np.ndarray, lo: np.ndarray,
+          hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """The interval [t0, t1] of t with lo <= origin + t * direction <= hi,
-    per origin; t0 > t1 where there is none."""
-    if direction == 0.0:
-        # an axis-parallel ray is inside for every t or for none
-        inside = (origin >= lo) & (origin <= hi)
-        return np.where(inside, -np.inf, np.inf), np.where(inside, np.inf, -np.inf)
-    if direction < 0.0:
-        lo, hi = hi, lo
-    return (lo - origin) / direction, (hi - origin) / direction
+    per element of ``origin``, with ``direction``, ``lo`` and ``hi``
+    broadcast against it; t0 > t1 where there is none."""
+    parallel = direction == 0.0
+    direction = np.where(parallel, 1.0, direction)
+    flip = direction < 0.0
+    t0 = (np.where(flip, hi, lo) - origin) / direction
+    t1 = (np.where(flip, lo, hi) - origin) / direction
+    # a ray parallel to the slab is inside it for every t or for none
+    inside = (origin >= lo) & (origin <= hi)
+    return (np.where(parallel, np.where(inside, -np.inf, np.inf), t0),
+            np.where(parallel, np.where(inside, np.inf, -np.inf), t1))
+
+
+def _forms(x, y) -> np.ndarray:
+    """The linear forms x, y, x + y and x - y, stacked on a new first axis:
+    the normals of the four half-plane pairs that bound a projector's support."""
+    return np.stack([x, y, x + y, x - y])
 
 
 def _bilinear(mu: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -94,40 +104,66 @@ def _bilinear(mu: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     padded = np.zeros((size + 2, width))
     padded[:size, :size] = mu
     flat = padded.reshape(-1)
+    # a footprint's taps (0,0), (0,1), (1,0), (1,1), each read at its
+    # top-left index from a view shifted by one column, one row or both
+    taps = (flat, flat[1:], flat[width:], flat[width + 1:])
     outside = size * width
     last = size - 1.0
     out = np.empty(rows.size)
     for lo in range(0, rows.size, _SAMPLE_BLOCK):
         y, x = rows[lo:lo + _SAMPLE_BLOCK], cols[lo:lo + _SAMPLE_BLOCK]
         fy, fx = np.floor(y), np.floor(x)
-        wy0 = 1.0 - (y - fy)
+        wy0 = y - fy
+        np.subtract(1.0, wy0, out=wy0)
         wy1 = 1.0 - wy0
-        wx0 = 1.0 - (x - fx)
+        wx0 = x - fx
+        np.subtract(1.0, wx0, out=wx0)
         wx1 = 1.0 - wx0
-        inside = (y >= 0.0) & (y <= last) & (x >= 0.0) & (x <= last)
-        tap = np.where(inside, fy * width + fx, outside).astype(np.intp)
-        acc = flat[tap] * wy0
+        inside = np.minimum(y, x) >= 0.0
+        inside &= np.maximum(y, x) <= last
+        fy *= width
+        fy += fx
+        tap = np.where(inside, fy, outside).astype(np.intp)
+        acc = out[lo:lo + _SAMPLE_BLOCK]
+        np.multiply(taps[0][tap], wy0, out=acc)
         acc *= wx0
         acc += 0.0      # scipy's sum starts at 0.0, so a -0.0 term reads +0.0
-        acc += (flat[tap + 1] * wy0) * wx1
-        tap += width
-        acc += (flat[tap] * wy1) * wx0
-        acc += (flat[tap + 1] * wy1) * wx1
-        out[lo:lo + _SAMPLE_BLOCK] = acc
+        for view, wy, wx in ((taps[1], wy0, wx1), (taps[2], wy1, wx0), (taps[3], wy1, wx1)):
+            term = view[tap]
+            term *= wy
+            term *= wx
+            acc += term
     return out
+
+
+def _march_span(ox: np.ndarray, oy: np.ndarray, cos_t: np.ndarray, sin_t: np.ndarray,
+                lo: np.ndarray, hi: np.ndarray, march: np.ndarray,
+                step: float) -> Tuple[np.ndarray, np.ndarray]:
+    """The first march step and the number of steps of each sub-ray, with
+    origin (ox, oy) and direction (-sin_t, cos_t), that lie inside the four
+    half-plane pairs lo <= _forms(x, y) <= hi. One step of slack at each
+    end absorbs rounding in the division."""
+    t0, t1 = _slab(_forms(ox, oy), _forms(-sin_t, cos_t), lo, hi)
+    first = np.ceil((t0.max(axis=0) - march[0]) / step) - 1
+    last = np.floor((t1.min(axis=0) - march[0]) / step) + 1
+    first = np.clip(first, 0, march.size).astype(np.intp)
+    last = np.clip(last, -1, march.size - 1).astype(np.intp)
+    return first, np.maximum(last - first + 1, 0)
 
 
 def radon_forward(mu: np.ndarray, params: SimParams, spacing: float) -> Sinogram:
     """Line integrals by bilinear ray marching at half-pixel steps.
 
     Each sub-ray is sampled only over its support: the march steps whose
-    point lies in the bounding box of the non-zero pixels, widened by one
-    pixel, plus one step of slack at each end for rounding. A bilinear
-    sample whose 2x2 footprint misses every non-zero pixel is exactly 0.0,
-    so the skipped samples are the zeros a full-grid march would have
-    taken. They are scattered into a zeroed (sub-ray, step) buffer and
-    reduced over the same array in the same order, which makes the
-    sinogram byte-identical to sampling every step of every ray.
+    point lies inside four half-planes around the non-zero pixels (bounds
+    on x, y, x + y and x - y, widened by the reach of the 2x2 footprint),
+    plus one step of slack at each end for rounding. A bilinear sample
+    whose footprint misses every non-zero pixel is exactly 0.0, so the
+    skipped samples are the zeros a full-grid march would have taken. The
+    sub-rays that keep a sample are scattered into zeroed full-length
+    rows and each row is reduced in the same order as a full-grid row,
+    which makes the sinogram byte-identical to sampling every step of
+    every ray.
 
     The samples are scipy's order-1 spline interpolation with
     ``mode="constant"`` and ``cval=0.0``, as ``map_coordinates`` computes
@@ -149,49 +185,61 @@ def radon_forward(mu: np.ndarray, params: SimParams, spacing: float) -> Sinogram
     half_span = size * math.sqrt(2.0) / 2.0
     march = np.arange(-half_span, half_span + step, step)
 
-    # the non-zero pixels' bounding box, widened by one pixel: a sample
-    # outside it has a 2x2 footprint of zeros; an all-zero image gets an
-    # inverted box, which no ray enters
-    rows = np.flatnonzero(mu.any(axis=1))
-    cols = np.flatnonzero(mu.any(axis=0))
-    x0, x1, y0, y1 = ((cols[0] - 1.0, cols[-1] + 1.0, rows[0] - 1.0, rows[-1] + 1.0)
-                      if rows.size else (np.inf, -np.inf, np.inf, -np.inf))
+    # the range of each form over the non-zero pixels (x the column, y the
+    # row), from each row's first and last non-zero column, widened by the
+    # reach of a 2x2 footprint: a sample reads pixel (y', x') only when
+    # |x - x'| < 1 and |y - y'| < 1. An all-zero image gets an inverted
+    # range, which no ray enters.
+    nonzero = mu != 0.0
+    rows = np.flatnonzero(nonzero.any(axis=1))
+    first_col = nonzero[rows].argmax(axis=1)
+    last_col = size - 1 - nonzero[rows, ::-1].argmax(axis=1)
+    reach = np.array([[1.0], [1.0], [2.0], [2.0]])
+    lo = (_forms(first_col, rows) - reach).min(axis=1, initial=np.inf)[:, None, None]
+    hi = (_forms(last_col, rows) + reach).max(axis=1, initial=-np.inf)[:, None, None]
 
     # each detector reading averages two half-offset sub-rays, which kills
     # the worst lattice-alias error of the bilinear footprint
     sub = np.concatenate([det - 0.25, det + 0.25])
-    row_base = np.arange(sub.size) * march.size
+    # zeroed full-length rows for the sub-rays that keep a sample, reused
     buf = np.empty(sub.size * march.size, dtype=np.float64)
     sino = np.empty((params.n_angles, n_det), dtype=np.float64)
     angles = np.arange(params.n_angles) * math.pi / params.n_angles
-    for i, theta in enumerate(angles):
-        cos_t, sin_t = math.cos(theta), math.sin(theta)
+    cos_all = np.array([math.cos(theta) for theta in angles])[:, None]
+    sin_all = np.array([math.sin(theta) for theta in angles])[:, None]
+    for block in range(0, params.n_angles, _ANGLE_BLOCK):
+        cos_t = cos_all[block:block + _ANGLE_BLOCK]
+        sin_t = sin_all[block:block + _ANGLE_BLOCK]
         # detector axis (cos, sin); ray direction perpendicular to it:
         # px = center + sub * cos_t - march * sin_t
         # py = center + sub * sin_t + march * cos_t
         # summed left to right, so every kept sample's coordinates are
         # bit-equal to the full-grid march's
         ox, oy = center + sub * cos_t, center + sub * sin_t
-        tx0, tx1 = _slab(ox, -sin_t, x0, x1)
-        ty0, ty1 = _slab(oy, cos_t, y0, y1)
-        # one step of slack at each end absorbs rounding in the division
-        first = np.ceil((np.maximum(tx0, ty0) - march[0]) / step) - 1
-        last = np.floor((np.minimum(tx1, ty1) - march[0]) / step) + 1
-        first = np.clip(first, 0, march.size).astype(np.intp)
-        last = np.clip(last, -1, march.size - 1).astype(np.intp)
-        count = np.maximum(last - first + 1, 0)
-        # step index k of every kept sample, sub-ray by sub-ray
-        k = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count - first, count)
-        march_k = march[k]
-        coords = np.empty((2, k.size))
-        np.add(np.repeat(oy, count), march_k * cos_t, out=coords[0])
-        np.subtract(np.repeat(ox, count), march_k * sin_t, out=coords[1])
-        del march_k     # the working set stays below the full grid's
-        k += np.repeat(row_base, count)     # flat (sub-ray, step) index
-        buf.fill(0.0)
-        buf[k] = _bilinear(mu, coords[0], coords[1])
-        rays = buf.reshape(2, n_det, march.size).sum(axis=2) * step * spacing
-        sino[i] = 0.5 * (rays[0] + rays[1])
+        first, counts = _march_span(ox, oy, cos_t, sin_t, lo, hi, march, step)
+        rays = np.zeros((len(cos_t), sub.size))
+        for j, (row_first, row_count) in enumerate(zip(first, counts)):
+            hit = np.flatnonzero(row_count)
+            count = row_count[hit]
+            # step index k of every kept sample, sub-ray by sub-ray
+            k = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count - row_first[hit],
+                                                   count)
+            march_k = march[k]
+            coords = np.empty((2, k.size))
+            np.add(np.repeat(oy[j, hit], count), march_k * cos_t[j, 0], out=coords[0])
+            np.subtract(np.repeat(ox[j, hit], count), march_k * sin_t[j, 0], out=coords[1])
+            del march_k     # the working set stays below the full grid's
+            k += np.repeat(np.arange(0, hit.size * march.size, march.size), count)
+            grid = buf[:hit.size * march.size]
+            grid.fill(0.0)
+            grid[k] = _bilinear(mu, coords[0], coords[1])
+            # a row's pairwise sum does not depend on the other rows
+            rays[j, hit] = grid.reshape(hit.size, march.size).sum(axis=1)
+            # freed before the next angle allocates, so that each angle's
+            # arrays reuse the heap space of the last one's
+            del k, coords, hit, count, grid
+        halves = rays.reshape(-1, 2, n_det) * step * spacing
+        sino[block:block + _ANGLE_BLOCK] = 0.5 * (halves[:, 0] + halves[:, 1])
     return Sinogram(values=sino, spacing=spacing)
 
 
@@ -422,13 +470,17 @@ def _check_fields(path: Path, what: str, entry, cls) -> None:
 
 
 def load_manifest(data_dir: Union[str, Path]) -> DatasetManifest:
-    """Read and validate a dataset's manifest: exactly DatasetManifest's fields,
-    an integer seed, a size that is a positive multiple of 8 with the spacing
-    ``FIELD_MM / size``, and ``n_pairs`` pairs that are what ``make_dataset``
-    writes (``_pair_record``) but for an integer ``mask_pixel_count``."""
+    """Read and validate a dataset's manifest: UTF-8 JSON with exactly
+    DatasetManifest's fields, an integer seed, a size that is a positive
+    multiple of 8 with the spacing ``FIELD_MM / size``, and ``n_pairs`` pairs
+    that are what ``make_dataset`` writes (``_pair_record``) but for an
+    integer ``mask_pixel_count``."""
     path = Path(data_dir) / MANIFEST_NAME
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except (ValueError, RecursionError) as exc:     # undecodable, malformed or too deep
+        raise ValueError(f"{path}: not UTF-8 JSON ({exc})") from exc
     _check_fields(path, "the top level", payload, DatasetManifest)
     size, pairs = payload["size"], payload.pop("pairs")
     if type(size) is not int or size < 8 or size % 8:

@@ -389,13 +389,17 @@ class TestEvalAndTrain:
         (lambda m: {**m, "spacing": None}, "spacing None is not 160 / 32 = 5.0 mm"),
         (lambda m: {**m, "spacing": 5.01}, "spacing 5.01 is not 160 / 32 = 5.0 mm"),
         (lambda m: {**m, "size": 64}, "spacing 5.0 is not 160 / 64 = 2.5 mm"),
+        (lambda m: "{not json", "not UTF-8 JSON"),
     ], ids=["missing", "unknown", "not-object", "pairs-not-list", "size-str", "size-float",
-            "size-36", "size-0", "n-pairs", "spacing-null", "spacing-off", "size-not-spacing"])
+            "size-36", "size-0", "n-pairs", "spacing-null", "spacing-off", "size-not-spacing",
+            "not-json"])
     @pytest.mark.parametrize("command", ["eval", "train"])
     def test_bad_manifest_rejected(self, tmp_path, capsys, edit, needle, command):
+        """An edit returns the manifest to write as JSON, or its raw text."""
         ds, ckpt = self._dataset_and_checkpoint(tmp_path, capsys)
         manifest = edit(json.loads((ds / "manifest.json").read_text()))
-        (ds / "manifest.json").write_text(json.dumps(manifest))
+        (ds / "manifest.json").write_text(
+            manifest if isinstance(manifest, str) else json.dumps(manifest))
         args = (["--ckpt", str(ckpt)] if command == "eval"
                 else ["--preset", "T", "--epochs", "1", "--out", str(tmp_path / "run")])
         code, _, err = run(capsys, command, "--data", str(ds), *args)

@@ -575,6 +575,34 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="corrupt header"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("edit", [
+        lambda c: c.update(num_blocks=[1, 1, 1, 2000]),
+        lambda c: c.update(base_channels=64 * c["base_channels"]),
+    ], ids=["2000-blocks", "64x-width"])
+    def test_config_edit_refused_before_allocating(self, tmp_path, edit):
+        """A header whose config asks for a far larger model is refused as a
+        corrupt header before that model's weights are allocated: the
+        2000-block edit raised peak memory by 556 MiB before its refusal
+        when the loader built the model in full."""
+        path = tmp_path / "model.mckp"
+        save_checkpoint(build_model(TINY, seed=1), path)
+        self.rewrite_header(path, lambda h: edit(h["config"]))
+        out = run_python(textwrap.dedent(f"""
+            from ctmar.model import CheckpointError, load_checkpoint
+            def peak_mib():
+                with open("/proc/self/status") as fh:
+                    return next(int(line.split()[1]) / 1024 for line in fh
+                                if line.startswith("VmHWM:"))
+            before = peak_mib()
+            try:
+                load_checkpoint({str(path)!r})
+            except CheckpointError as exc:
+                print(type(exc).__name__, "corrupt header" in str(exc), peak_mib() - before)
+            """))
+        name, corrupt, rise = out.split()
+        assert (name, corrupt) == ("CheckpointError", "True")
+        assert float(rise) < 32.0
+
     def test_deeply_nested_header_rejected(self, tmp_path):
         """JSON nested past the parser's recursion limit is a corrupt header
         too, not a RecursionError."""

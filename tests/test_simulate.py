@@ -83,11 +83,14 @@ def radon_reference(mu, params, spacing=1.0):
 @st.composite
 def projector_cases(draw):
     """An image and SimParams. Images: all-zero, one pixel on a corner or
-    an edge, a small blob of either sign anywhere, dense random, or dense
-    with negative values; sizes 8-48. Angle counts are even (theta = pi/2
-    is sampled) and odd."""
+    an edge, a small blob of either sign anywhere, dense random, dense
+    with negative values, a filled ellipse at any centre, axes and angle
+    (the phantom's body), or two pixels in opposite corners (where the
+    diagonal half-planes bind); sizes 8-48. Angle counts are even (theta =
+    pi/2 is sampled) and odd."""
     size = draw(st.integers(8, 48))
-    kind = draw(st.sampled_from(["zero", "pixel", "blob", "dense", "negative"]))
+    kind = draw(st.sampled_from(["zero", "pixel", "blob", "dense", "negative", "ellipse",
+                                 "corners"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     mu = np.zeros((size, size))
     if kind == "pixel":
@@ -103,7 +106,26 @@ def projector_cases(draw):
         mu = rng.random((size, size))
     elif kind == "negative":
         mu = rng.normal(size=(size, size))
+    elif kind == "ellipse":
+        cy, cx = rng.uniform(0.0, size - 1.0, 2)
+        ry, rx = rng.uniform(1.0, size / 2.0, 2)
+        simulate._fill_ellipse(mu, cy, cx, ry, rx, rng.uniform(0.1, 2.0),
+                               angle=rng.uniform(0.0, math.pi))
+    elif kind == "corners":
+        c0, c1 = (0, size - 1) if draw(st.booleans()) else (size - 1, 0)
+        mu[0, c0], mu[size - 1, c1] = rng.uniform(0.1, 2.0, 2)
     return mu, SimParams(n_angles=draw(st.integers(8, 25)))
+
+
+def phantom_with_metal(seed, size=128):
+    """A jaw phantom's attenuation with an implant inserted as simulate_ma_pair
+    inserts it, and the implant's mask."""
+    rng = np.random.default_rng(seed)
+    clean = jaw_phantom(size, rng)
+    mask = random_metal_mask(clean, rng)
+    mu = hu_to_mu(clean)
+    mu[mask] = simulate.MU_WATER * (1.0 + simulate.METAL_HU / 1000.0)
+    return mu, mask
 
 
 class TestBilinear:
@@ -142,9 +164,11 @@ class TestRadonForward:
         assert np.array_equal(got, radon_reference(mu, params, spacing).values)
 
     def test_slack_absorbs_narrowed_intervals(self, monkeypatch):
-        """No sample comes within rounding distance of the box edge in this
-        geometry, so narrow every ray/box interval by 1e-3 instead: the
-        step of slack at each end must still keep every non-zero sample."""
+        """No sample comes within rounding distance of a half-plane's edge in
+        this geometry, so narrow every ray/half-plane interval by 1e-3
+        instead: the step of slack at each end must still keep every
+        non-zero sample. A disc's diagonal half-planes cut its box's
+        corners, so its case narrows those too."""
         slab = simulate._slab
 
         def narrowed(origin, direction, lo, hi):
@@ -153,15 +177,50 @@ class TestRadonForward:
 
         monkeypatch.setattr(simulate, "_slab", narrowed)
         rng = np.random.default_rng(12)
+        supports = []
         for size, (r0, r1, c0, c1) in ((40, (9, 20, 14, 31)), (33, (3, 30, 5, 12)),
                                        (24, (11, 13, 2, 22))):
-            # dense inside a box away from the image border, where
+            support = np.zeros((size, size), dtype=bool)
+            support[r0:r1, c0:c1] = True
+            supports.append(support)
+        ys, xs = np.mgrid[0:40, 0:40]
+        supports.append((ys - 19.3) ** 2 + (xs - 21.7) ** 2 <= 9.0 ** 2)
+        for support in supports:
+            # dense inside a box or a disc away from the image border, where
             # map_coordinates reads the margin's samples
-            mu = np.zeros((size, size))
-            mu[r0:r1, c0:c1] = rng.random((r1 - r0, c1 - c0))
+            mu = np.zeros(support.shape)
+            mu[support] = rng.random(support.sum())
             params = SimParams(n_angles=36)
             assert np.array_equal(radon_forward(mu, params, 1.0).values,
                                   radon_reference(mu, params).values)
+
+    def test_matches_full_grid_reference_on_a_phantom(self):
+        """The dataset's traffic: a 128² phantom with its implant, and the
+        implant's mask, at the default 180 angles."""
+        mu, mask = phantom_with_metal(0)
+        spacing = FIELD_MM / 128
+        for image in (mu, mask.astype(np.float64)):
+            assert np.array_equal(radon_forward(image, SimParams(), spacing).values,
+                                  radon_reference(image, SimParams(), spacing).values)
+
+    def test_samples_are_mostly_non_zero(self, monkeypatch):
+        """The projector's useful work over its attempted work: at least 93 %
+        of the samples it passes to _bilinear for 128² phantoms with an
+        implant are non-zero. The non-zero pixels' bounding box kept 81-82 %."""
+        bilinear = simulate._bilinear
+        kept = non_zero = 0
+
+        def counting(mu, rows, cols):
+            nonlocal kept, non_zero
+            out = bilinear(mu, rows, cols)
+            kept += out.size
+            non_zero += np.count_nonzero(out)
+            return out
+
+        monkeypatch.setattr(simulate, "_bilinear", counting)
+        for seed in range(4):
+            radon_forward(phantom_with_metal(seed)[0], SimParams(), FIELD_MM / 128)
+        assert non_zero / kept >= 0.93
 
     def test_zero_image(self):
         sino = radon_forward(np.zeros((32, 32)), SimParams(n_angles=16), 1.0)
@@ -375,6 +434,17 @@ class TestMakeDataset:
         else:
             with pytest.raises(ValueError, match=re.escape(f"{out / 'manifest.json'}: ")):
                 load_manifest(out)
+
+    @pytest.mark.parametrize("text", [b"{not json", b'{"size": "\xff"}', b"[" * 100_000],
+                             ids=["not-json", "not-utf8", "nested"])
+    def test_unreadable_manifest_refused(self, tmp_path, text):
+        """A manifest that is not UTF-8 JSON is refused with a ValueError
+        that starts with its path, like every other manifest refusal."""
+        out = tmp_path / "ds"
+        make_dataset(1, 8, seed=1, out_dir=out)
+        (out / "manifest.json").write_bytes(text)
+        with pytest.raises(ValueError, match=re.escape(f"{out / 'manifest.json'}: not UTF-8 JSON")):
+            load_manifest(out)
 
     @pytest.mark.parametrize("link_to", ["0001_clean.mtsr", "0002_ma.mtsr", "../outside.mtsr"])
     def test_linked_slice_refused(self, tmp_path, link_to):
