@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from scipy.ndimage import gaussian_filter, map_coordinates
+from scipy.ndimage import gaussian_filter
 
 from ctmar import simulate
 from ctmar.simulate import (
@@ -17,8 +17,6 @@ from ctmar.simulate import (
     HU_MIN,
     SimParams,
     Sinogram,
-    _SAMPLE_BLOCK,
-    _bilinear,
     _default_detectors,
     fbp_reconstruct,
     hu_to_mu,
@@ -56,38 +54,14 @@ class TestHuToMu:
         assert (mu >= 0).all()
 
 
-def radon_reference(mu, params, spacing=1.0):
-    """The full-grid projector: every march step of every sub-ray is sampled."""
-    mu = np.asarray(mu, dtype=np.float64)
-    size = mu.shape[0]
-    n_det = _default_detectors(size)
-    center = (size - 1) / 2.0
-    det = np.arange(n_det) - (n_det - 1) / 2.0
-    step = 0.5
-    half_span = size * math.sqrt(2.0) / 2.0
-    march = np.arange(-half_span, half_span + step, step)
-    sub = np.concatenate([det - 0.25, det + 0.25])
-    sino = np.empty((params.n_angles, n_det), dtype=np.float64)
-    angles = np.arange(params.n_angles) * math.pi / params.n_angles
-    for i, theta in enumerate(angles):
-        cos_t, sin_t = math.cos(theta), math.sin(theta)
-        px = center + sub[:, None] * cos_t - march[None, :] * sin_t
-        py = center + sub[:, None] * sin_t + march[None, :] * cos_t
-        samples = map_coordinates(mu, [py.ravel(), px.ravel()], order=1,
-                                  mode="constant", cval=0.0)
-        rays = samples.reshape(2, n_det, march.size).sum(axis=2) * step * spacing
-        sino[i] = 0.5 * (rays[0] + rays[1])
-    return Sinogram(values=sino, spacing=spacing)
-
-
 @st.composite
 def projector_cases(draw):
     """An image and SimParams. Images: all-zero, one pixel on a corner or
     an edge, a small blob of either sign anywhere, dense random, dense
     with negative values, a filled ellipse at any centre, axes and angle
-    (the phantom's body), or two pixels in opposite corners (where the
-    diagonal half-planes bind); sizes 8-48. Angle counts are even (theta =
-    pi/2 is sampled) and odd."""
+    (the phantom's body), or two pixels in opposite corners, whose shadows
+    reach the ends of the detector row; sizes 8-48. Angle counts are even
+    (theta = pi/2 is sampled) and odd."""
     size = draw(st.integers(8, 48))
     kind = draw(st.sampled_from(["zero", "pixel", "blob", "dense", "negative", "ellipse",
                                  "corners"]))
@@ -117,110 +91,89 @@ def projector_cases(draw):
     return mu, SimParams(n_angles=draw(st.integers(8, 25)))
 
 
-def phantom_with_metal(seed, size=128):
-    """A jaw phantom's attenuation with an implant inserted as simulate_ma_pair
-    inserts it, and the implant's mask."""
-    rng = np.random.default_rng(seed)
-    clean = jaw_phantom(size, rng)
-    mask = random_metal_mask(clean, rng)
-    mu = hu_to_mu(clean)
-    mu[mask] = simulate.MU_WATER * (1.0 + simulate.METAL_HU / 1000.0)
-    return mu, mask
+def clip_polygon(polygon, a, b, c):
+    """The part of ``polygon`` (a list of (x, y) vertices) where a x + b y <= c,
+    by Sutherland-Hodgman: keep the inside vertices and add a vertex where an
+    edge crosses the line."""
+    out = []
+    for k, p in enumerate(polygon):
+        q = polygon[k - 1]
+        fp, fq = a * p[0] + b * p[1] - c, a * q[0] + b * q[1] - c
+        if (fp <= 0.0) != (fq <= 0.0):
+            t = fq / (fq - fp)
+            out.append((q[0] + t * (p[0] - q[0]), q[1] + t * (p[1] - q[1])))
+        if fp <= 0.0:
+            out.append(p)
+    return out
 
 
-class TestBilinear:
-    @pytest.mark.parametrize("size", [1, 2, 5, 16])
-    def test_bit_equal_to_map_coordinates(self, size):
-        """Every row coordinate meets every column coordinate: exactly 0
-        and size-1, just inside and outside both, (-1, 0), (size-1, size),
-        integers, half-integers and -0.0; then more random samples than
-        one block holds. Pixels are of both signs, 0.0 and -0.0."""
-        rng = np.random.default_rng(size)
-        mu = rng.normal(size=(size, size))
-        mu[rng.random((size, size)) < 0.3] = -0.0
-        mu[rng.random((size, size)) < 0.2] = 0.0
-        last = size - 1.0
-        edges = np.array([0.0, -0.0, np.nextafter(0.0, 1.0), np.nextafter(0.0, -1.0),
-                          -0.5, -0.999, -1.0, last, np.nextafter(last, 0.0),
-                          np.nextafter(last, size), last + 0.5, last + 0.999, float(size),
-                          *np.arange(0.0, size, 0.5), *rng.uniform(-1.5, size + 0.5, 7)])
-        rows, cols = (a.ravel() for a in np.meshgrid(edges, edges))
-        extra = rng.uniform(-1.5, size + 0.5, (2, _SAMPLE_BLOCK + 123))
-        rows, cols = np.concatenate([rows, extra[0]]), np.concatenate([cols, extra[1]])
-        want = map_coordinates(mu, [rows, cols], order=1, mode="constant", cval=0.0)
-        got = _bilinear(mu, rows, cols)
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+def polygon_area(polygon):
+    """The shoelace formula."""
+    return 0.5 * abs(sum(p[0] * q[1] - q[0] * p[1]
+                         for p, q in zip(polygon, polygon[1:] + polygon[:1])))
+
+
+def strip_areas(size, row, col, n_angles):
+    """The area of pixel (row, col)'s unit square inside each detector's strip
+    of radon_forward's geometry, by clipping the square to the strip."""
+    n_det = _default_detectors(size)
+    center = (size - 1) / 2.0
+    x, y = col - center, row - center
+    square = [(x - 0.5, y - 0.5), (x + 0.5, y - 0.5), (x + 0.5, y + 0.5), (x - 0.5, y + 0.5)]
+    areas = np.zeros((n_angles, n_det))
+    for i in range(n_angles):
+        theta = i * math.pi / n_angles
+        cos_t, sin_t = math.cos(theta), math.sin(theta)
+        for j in range(n_det):
+            lo = j - (n_det - 1) / 2.0 - 0.5
+            strip = clip_polygon(clip_polygon(square, cos_t, sin_t, lo + 1.0),
+                                 -cos_t, -sin_t, -lo)
+            areas[i, j] = polygon_area(strip)
+    return areas
 
 
 class TestRadonForward:
-    # a floating-point warning, such as a division by a zero direction
-    # component, fails the case too
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_single_pixel_matches_exact_strip_areas(self, data):
+        """One unit pixel anywhere projects to the areas of its square inside
+        each detector's strip, which polygon clipping computes independently."""
+        size = data.draw(st.integers(8, 40), label="size")
+        row, col = (data.draw(st.integers(0, size - 1), label=k) for k in ("row", "col"))
+        n_angles = data.draw(st.integers(8, 25), label="n_angles")
+        mu = np.zeros((size, size))
+        mu[row, col] = 1.0
+        got = radon_forward(mu, SimParams(n_angles=n_angles), 1.0).values
+        assert np.abs(got - strip_areas(size, row, col, n_angles)).max() <= 1e-12
+
+    # a floating-point warning, such as a division by a zero shadow edge,
+    # fails the case too
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(case=projector_cases(), spacing=st.sampled_from([1.0, 1.25, 2.5]))
-    def test_matches_full_grid_reference(self, case, spacing):
+    def test_every_row_conserves_mass(self, case, spacing):
+        """Each angle's row sums to mu.sum() * spacing, to within 1e-12 of the
+        image's absolute mass (its mass, for an image of one sign)."""
         mu, params = case
-        got = radon_forward(mu, params, spacing).values
-        assert np.array_equal(got, radon_reference(mu, params, spacing).values)
+        rows = radon_forward(mu, params, spacing).values.sum(axis=1)
+        np.testing.assert_allclose(rows, mu.sum() * spacing, rtol=0.0,
+                                   atol=1e-12 * np.abs(mu).sum() * spacing)
 
-    def test_slack_absorbs_narrowed_intervals(self, monkeypatch):
-        """No sample comes within rounding distance of a half-plane's edge in
-        this geometry, so narrow every ray/half-plane interval by 1e-3
-        instead: the step of slack at each end must still keep every
-        non-zero sample. A disc's diagonal half-planes cut its box's
-        corners, so its case narrows those too."""
-        slab = simulate._slab
-
-        def narrowed(origin, direction, lo, hi):
-            t0, t1 = slab(origin, direction, lo, hi)
-            return t0 + 1e-3, t1 - 1e-3
-
-        monkeypatch.setattr(simulate, "_slab", narrowed)
-        rng = np.random.default_rng(12)
-        supports = []
-        for size, (r0, r1, c0, c1) in ((40, (9, 20, 14, 31)), (33, (3, 30, 5, 12)),
-                                       (24, (11, 13, 2, 22))):
-            support = np.zeros((size, size), dtype=bool)
-            support[r0:r1, c0:c1] = True
-            supports.append(support)
-        ys, xs = np.mgrid[0:40, 0:40]
-        supports.append((ys - 19.3) ** 2 + (xs - 21.7) ** 2 <= 9.0 ** 2)
-        for support in supports:
-            # dense inside a box or a disc away from the image border, where
-            # map_coordinates reads the margin's samples
-            mu = np.zeros(support.shape)
-            mu[support] = rng.random(support.sum())
-            params = SimParams(n_angles=36)
-            assert np.array_equal(radon_forward(mu, params, 1.0).values,
-                                  radon_reference(mu, params).values)
-
-    def test_matches_full_grid_reference_on_a_phantom(self):
-        """The dataset's traffic: a 128² phantom with its implant, and the
-        implant's mask, at the default 180 angles."""
-        mu, mask = phantom_with_metal(0)
-        spacing = FIELD_MM / 128
-        for image in (mu, mask.astype(np.float64)):
-            assert np.array_equal(radon_forward(image, SimParams(), spacing).values,
-                                  radon_reference(image, SimParams(), spacing).values)
-
-    def test_samples_are_mostly_non_zero(self, monkeypatch):
-        """The projector's useful work over its attempted work: at least 93 %
-        of the samples it passes to _bilinear for 128² phantoms with an
-        implant are non-zero. The non-zero pixels' bounding box kept 81-82 %."""
-        bilinear = simulate._bilinear
-        kept = non_zero = 0
-
-        def counting(mu, rows, cols):
-            nonlocal kept, non_zero
-            out = bilinear(mu, rows, cols)
-            kept += out.size
-            non_zero += np.count_nonzero(out)
-            return out
-
-        monkeypatch.setattr(simulate, "_bilinear", counting)
-        for seed in range(4):
-            radon_forward(phantom_with_metal(seed)[0], SimParams(), FIELD_MM / 128)
-        assert non_zero / kept >= 0.93
+    def test_uniform_disc_matches_chord_lengths(self):
+        """A uniform disc of radius 40 px at 128², 36 angles: every ray more
+        than 2 px inside the rim is within 2 % of the central chord's 2 mu r of
+        the exact line integral 2 mu sqrt(r^2 - t^2). The worst ray is off by
+        0.0250 (the bilinear march this projector replaced: 0.0211) against a
+        bound of 0.032. perfbench's synth check runs the same case."""
+        size, radius, mu_disc = 128, 40.0, 0.02
+        c = (size - 1) / 2.0
+        ys, xs = np.mgrid[0:size, 0:size]
+        disc = np.where((ys - c) ** 2 + (xs - c) ** 2 <= radius ** 2, mu_disc, 0.0)
+        sino = radon_forward(disc, SimParams(n_angles=36), 1.0).values
+        t = np.arange(sino.shape[1]) - (sino.shape[1] - 1) / 2.0
+        inner = np.abs(t) <= radius - 2.0
+        exact = 2.0 * mu_disc * np.sqrt(radius ** 2 - t[inner] ** 2)
+        assert np.abs(sino[:, inner] - exact).max() <= 0.02 * 2.0 * mu_disc * radius
 
     def test_zero_image(self):
         sino = radon_forward(np.zeros((32, 32)), SimParams(n_angles=16), 1.0)
@@ -383,6 +336,16 @@ class TestMakeDataset:
         for pa in sorted(a.iterdir()):
             pb = b / pa.name
             assert pa.read_bytes() == pb.read_bytes(), pa.name
+
+    def test_seeds_share_no_clean_slice(self, tmp_path):
+        """Datasets from seeds 0-7, 2 pairs each, hold 16 different clean
+        slices: no two (seed, pair) draws share a generator."""
+        digests = set()
+        for seed in range(8):
+            out = tmp_path / str(seed)
+            make_dataset(2, 16, seed=seed, out_dir=out)
+            digests |= {p.read_bytes() for p in out.glob("*_clean.mtsr")}
+        assert len(digests) == 16
 
     def test_ma_slices_meet_metal_criterion(self, tmp_path):
         out = tmp_path / "ds"
