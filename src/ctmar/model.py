@@ -423,6 +423,8 @@ class MARNet(Module):
 def build_model(config: ModelConfig, seed: int = 0, dtype: str = "f32") -> MARNet:
     """A seeded model in ``dtype`` whose output head is zeroed, so the untrained
     network adds a zero residual: the identity restorer."""
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     model = MARNet(config).initialize(np.random.default_rng(seed), dtype)
     model.outro.weight.data.fill(0.0)     # drawn last, so no other draw moves
     return model

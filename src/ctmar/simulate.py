@@ -15,7 +15,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import List, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -36,6 +36,7 @@ class Sinogram:
 
     values: np.ndarray
     spacing: float          # detector pitch == pixel pitch, in mm
+    hits: Optional[np.ndarray] = None   # the rays through radon_forward's traced pixels
 
 
 @dataclass
@@ -60,25 +61,25 @@ def _default_detectors(size: int) -> int:
     return int(math.ceil(size * math.sqrt(2.0)))
 
 
-def _shadow_tails(t: np.ndarray, narrow: float, wide: float) -> np.ndarray:
-    """The mass beyond offset ``t`` >= 0 from the centre of box(narrow)
-    convolved with box(wide), two unit-area boxes with 0 <= narrow <= wide:
-    the shadow of a unit square pixel on a detector axis at angle theta,
-    for the widths |cos theta| and |sin theta|. The shadow is a trapezoid
-    with a flat top of half-width (wide - narrow) / 2 and linear edges
-    ``narrow`` long; every term below is nonnegative."""
+def _shadow_tails(t: np.ndarray, narrow: float, wide: float, out: np.ndarray) -> None:
+    """Writes to ``out`` the mass beyond offset ``t`` >= 0 from the centre of
+    box(narrow) convolved with box(wide), two unit-area boxes with
+    0 <= narrow <= wide: the shadow of a unit square pixel on a detector
+    axis at angle theta, for the widths |cos theta| and |sin theta|. The
+    shadow is a trapezoid with a flat top of half-width (wide - narrow) / 2
+    and linear edges ``narrow`` long; every term below is nonnegative."""
     flat = 0.5 * (wide - narrow)
-    tails = np.maximum(flat - t, 0.0)
-    tails /= wide
+    np.maximum(np.subtract(flat, t, out=out), 0.0, out=out)
+    out /= wide
     if narrow > 0.0:            # at theta = 0 the shadow is the wide box, with no edges
         edge = np.clip(flat + narrow - t, 0.0, narrow)
         edge *= edge
         edge /= 2.0 * narrow * wide
-        tails += edge
-    return tails
+        out += edge
 
 
-def radon_forward(mu: np.ndarray, params: SimParams, spacing: float) -> Sinogram:
+def radon_forward(mu: np.ndarray, params: SimParams, spacing: float,
+                  traced: Optional[np.ndarray] = None) -> Sinogram:
     """Parallel-beam projections of ``mu`` as exact strip integrals.
 
     Image model: pixel (row, col) is a square of side ``spacing`` mm and
@@ -97,7 +98,9 @@ def radon_forward(mu: np.ndarray, params: SimParams, spacing: float) -> Sinogram
     corner pixels' shadows reach size / sqrt(2) from the centre, inside
     the row's half-width n_det / 2. Zero pixels cost nothing. The image
     must be finite: a line integral through an inf or NaN pixel means
-    nothing.
+    nothing. A boolean image ``traced`` (the metal) adds ``hits``, the
+    rays where ``radon_forward(traced.astype(float), ...).values > 1e-9``,
+    summed in this pass from the same strip weights in the same order.
     """
     mu = np.asarray(mu, dtype=np.float64)
     if mu.ndim != 2 or mu.shape[0] != mu.shape[1]:
@@ -106,12 +109,14 @@ def radon_forward(mu: np.ndarray, params: SimParams, spacing: float) -> Sinogram
         raise ValueError("radon_forward needs a finite image; it holds inf or NaN")
     size = mu.shape[0]
     n_det = _default_detectors(size)
-    rows, cols = np.nonzero(mu)
+    rows, cols = np.nonzero(mu if traced is None else (mu != 0) | traced)
     mass = mu[rows, cols] * spacing
     center = (size - 1) / 2.0
     x, y = cols - center, rows - center
     weights = np.empty((3, rows.size))
     sino = np.empty((params.n_angles, n_det), dtype=np.float64)
+    picked = None if traced is None else np.flatnonzero(traced[rows, cols])
+    hits = None if traced is None else np.empty((params.n_angles, n_det), dtype=bool)
     for i in range(params.n_angles):
         theta = i * math.pi / params.n_angles
         cos_t, sin_t = math.cos(theta), math.sin(theta)
@@ -124,14 +129,18 @@ def radon_forward(mu: np.ndarray, params: SimParams, spacing: float) -> Sinogram
         near = np.floor(offset)
         offset -= near          # the centre's distance from the strip's lower edge
         # the tails beyond the strip's lower and upper edges
-        tails = _shadow_tails(np.stack([offset, 1.0 - offset]), *sorted((abs(cos_t), abs(sin_t))))
-        weights[0], weights[2] = tails
+        narrow, wide = sorted((abs(cos_t), abs(sin_t)))
+        _shadow_tails(offset, narrow, wide, out=weights[0])
+        _shadow_tails(1.0 - offset, narrow, wide, out=weights[2])
         np.subtract(1.0, weights[0], out=weights[1])
         weights[1] -= weights[2]
-        weights *= mass
         bins = near.astype(np.intp) + np.arange(3)[:, None]
+        if traced is not None:
+            hits[i] = np.bincount(bins[:, picked].ravel(), (weights[:, picked] * spacing).ravel(),
+                                  minlength=n_det + 2)[1:-1] > 1e-9
+        weights *= mass
         sino[i] = np.bincount(bins.ravel(), weights.ravel(), minlength=n_det + 2)[1:-1]
-    return Sinogram(values=sino, spacing=spacing)
+    return Sinogram(values=sino, spacing=spacing, hits=hits)
 
 
 def _ramp_kernel(size: int) -> np.ndarray:
@@ -145,29 +154,35 @@ def _ramp_kernel(size: int) -> np.ndarray:
 
 
 def fbp_reconstruct(sino: Sinogram, size: int) -> np.ndarray:
-    """Ramp-filtered back-projection onto a size x size grid; returns attenuation in 1/mm."""
+    """Ramp-filtered back-projection onto a size x size grid; returns attenuation in 1/mm.
+    A sinogram of fewer than ``_default_detectors(size)`` detectors is refused."""
     n_angles, n_det = sino.values.shape
+    if n_det < _default_detectors(size):
+        raise ValueError(f"{size}x{size} needs {_default_detectors(size)} detectors, got {n_det}")
     # frequency-domain ramp, zero-padded to the next power of two >= 2 n_det
     padded = max(64, 1 << int(math.ceil(math.log2(2 * n_det))))
-    ramp = np.fft.rfft(_ramp_kernel(padded)).real
     spectrum = np.fft.rfft(sino.values / sino.spacing, n=padded, axis=1)     # per-pixel units
-    spectrum *= ramp
+    spectrum *= np.fft.rfft(_ramp_kernel(padded)).real
     # a copy, so that only the (n_angles, n_det) filtered projections stay
     # alive through the back-projection
     filtered = np.fft.irfft(spectrum, n=padded, axis=1)[:, :n_det].copy()
     del spectrum
 
-    center = (size - 1) / 2.0
-    det_center = (n_det - 1) / 2.0
-    ys, xs = np.mgrid[0:size, 0:size]
-    xs = xs - center
-    ys = ys - center
+    axis = np.arange(size) - (size - 1) / 2.0
     recon = np.zeros((size, size), dtype=np.float64)
-    angles = np.arange(n_angles) * math.pi / n_angles
-    for i, theta in enumerate(angles):
-        t = xs * math.cos(theta) + ys * math.sin(theta) + det_center
-        recon += np.interp(t.ravel(), np.arange(n_det), filtered[i],
-                           left=0.0, right=0.0).reshape(size, size)
+    t, low, high, j = (np.empty((size, size), dtype) for dtype in (float, float, float, np.intp))
+    for i, theta in enumerate(np.arange(n_angles) * math.pi / n_angles):
+        np.add(axis * math.cos(theta), (axis * math.sin(theta))[:, None], out=t)
+        t += (n_det - 1) / 2.0
+        # with the detectors checked above, t lies in [0.207, n_det - 1.207]: j = int(t) is its
+        # floor, below is np.interp's formula, and "clip" only skips the checked mode's copy
+        np.copyto(j, t, casting="unsafe")
+        np.take(filtered[i], j, out=low, mode="clip")
+        np.take(filtered[i, 1:], j, out=high, mode="clip")
+        high -= low
+        high *= np.subtract(t, j, out=t)
+        high += low
+        recon += high
     # the projections were rescaled to pixel-unit path lengths before
     # filtering, so the back-projection already returns mu in 1/mm
     return recon * (math.pi / n_angles)
@@ -190,14 +205,11 @@ def simulate_ma_pair(clean: np.ndarray, metal_mask: np.ndarray) -> np.ndarray:
         raise ValueError(f"metal mask has {n_metal} pixels; a metal-artifact "
                          f"slice needs at least {METAL_PIXELS[0]}")
 
-    params = SimParams()
-    spacing = FIELD_MM / clean.shape[0]
     mu = hu_to_mu(clean)
     mu[mask] = MU_WATER * (1.0 + METAL_HU / 1000.0)
-    sino = radon_forward(mu, params, spacing)
-    hits = radon_forward(mask.astype(np.float64), params, spacing).values > 1e-9
-    s = sino.values
-    s[hits] = s[hits] + BEAM_HARDENING * s[hits] ** 2 / (1.0 + s[hits])
+    sino = radon_forward(mu, SimParams(), FIELD_MM / clean.shape[0], traced=mask)
+    metal = sino.values[sino.hits]
+    sino.values[sino.hits] = metal + BEAM_HARDENING * metal ** 2 / (1.0 + metal)
 
     ma_hu = np.clip(mu_to_hu(fbp_reconstruct(sino, clean.shape[0])), HU_MIN, HU_MAX)
     # the implant itself always reads as saturated metal
@@ -210,14 +222,17 @@ def simulate_ma_pair(clean: np.ndarray, metal_mask: np.ndarray) -> np.ndarray:
 
 def _fill_ellipse(img: np.ndarray, cy: float, cx: float, ry: float, rx: float,
                   value: float, angle: float = 0.0) -> None:
-    h, w = img.shape
-    ys, xs = np.mgrid[0:h, 0:w]
-    y = ys - cy
-    x = xs - cx
+    """Set ``value`` where u^2 + v^2 <= 1, testing only the window of rows and columns
+    within max(rx, ry) + 1 of the centre, clipped to the image: none outside can pass."""
+    r = max(rx, ry) + 1.0
+    window = tuple(slice(*np.clip([math.floor(c - r), math.ceil(c + r) + 1], 0, n))
+                   for c, n in zip((cy, cx), img.shape))
+    ys, xs = np.ogrid[window]
+    y, x = ys - cy, xs - cx
     ca, sa = math.cos(angle), math.sin(angle)
     u = (x * ca + y * sa) / rx
     v = (-x * sa + y * ca) / ry
-    img[u * u + v * v <= 1.0] = value
+    img[window][u * u + v * v <= 1.0] = value
 
 
 def _gaussian_blur(img: np.ndarray, sigma: float) -> np.ndarray:
@@ -329,9 +344,9 @@ def _pair_record(index: int, n_pairs: int, mask_pixel_count: int) -> PairRecord:
 def make_dataset(n_pairs: int, size: int, seed: int,
                  out_dir: Union[str, Path]) -> DatasetManifest:
     """Write ``n_pairs`` clean/MA MTSR1 pairs plus a manifest; fully seeded."""
-    if n_pairs < 1 or size < 8 or size % 8:
-        raise ValueError(f"need n_pairs >= 1 and a size that is a positive multiple of 8, "
-                         f"got n_pairs={n_pairs}, size={size}")
+    if n_pairs < 1 or size < 8 or size % 8 or seed < 0:
+        raise ValueError(f"need n_pairs >= 1, a size that is a positive multiple of 8 and a "
+                         f"seed >= 0, got n_pairs={n_pairs}, size={size}, seed={seed}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     manifest = DatasetManifest(size=size, seed=seed, spacing=FIELD_MM / size,

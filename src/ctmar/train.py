@@ -51,6 +51,8 @@ class TrainConfig:
         steps = self.max_steps
         if steps is not None and (type(steps) is not int or steps < 1):
             raise ValueError(f"max_steps must be None or a positive integer, got {steps!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
 
 
 def cosine_lr(fraction: float, lr_max: float, lr_min: float) -> float:

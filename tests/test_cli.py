@@ -49,6 +49,14 @@ class TestSynth:
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1
         assert not (tmp_path / "x").exists()
 
+    def test_negative_seed_refused(self, tmp_path, capsys):
+        code, _, err = run(capsys, "synth", "--pairs", "2", "--size", "32", "--seed", "-1",
+                           "--out", str(tmp_path / "x"))
+        assert code == 1
+        assert err.startswith("error:") and "seed=-1" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "x").exists()
+
 
 class TestCount:
     def test_preset_table(self, capsys):
@@ -255,6 +263,13 @@ class TestEvalAndTrain:
         assert code == 1
         assert err.startswith("error:") and "must be None or a positive integer" in err
         assert len(err.strip().splitlines()) == 1
+        assert "finished" not in out and not (tmp_path / "run").exists()
+
+    def test_negative_seed_rejected(self, tmp_path, capsys):
+        code, out, err = run(capsys, "train", "--data", str(tmp_path / "ds"),
+                             "--seed", "-1", "--out", str(tmp_path / "run"))
+        assert code == 1
+        assert err == "error: seed must be a non-negative integer, got -1\n"
         assert "finished" not in out and not (tmp_path / "run").exists()
 
     def test_eval_non_finite_slice_rejected(self, tmp_path, capsys):
@@ -469,6 +484,12 @@ class TestGradcheckCommand:
         assert code == 1
         assert err.startswith("error:") and f"at least 1 sample, got {samples}" in err
         assert len(err.strip().splitlines()) == 1
+        assert "sampled" not in out
+
+    def test_negative_seed_rejected(self, capsys):
+        code, out, err = run(capsys, "gradcheck", "--seed", "-1", "--samples", "2")
+        assert code == 1
+        assert err == "error: seed must be a non-negative integer, got -1\n"
         assert "sampled" not in out
 
 

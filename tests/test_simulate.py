@@ -132,6 +132,55 @@ def strip_areas(size, row, col, n_angles):
     return areas
 
 
+def fbp_interp(sino, size):
+    """fbp_reconstruct with np.interp's back-projection over a full coordinate
+    grid per angle, zero outside the detector row: the oracle for the
+    index-lookup loop."""
+    n_angles, n_det = sino.values.shape
+    padded = max(64, 1 << int(math.ceil(math.log2(2 * n_det))))
+    spectrum = np.fft.rfft(sino.values / sino.spacing, n=padded, axis=1)
+    spectrum *= np.fft.rfft(simulate._ramp_kernel(padded)).real
+    filtered = np.fft.irfft(spectrum, n=padded, axis=1)[:, :n_det]
+    center = (size - 1) / 2.0
+    ys, xs = np.mgrid[0:size, 0:size]
+    xs = xs - center
+    ys = ys - center
+    recon = np.zeros((size, size))
+    for i, theta in enumerate(np.arange(n_angles) * math.pi / n_angles):
+        t = xs * math.cos(theta) + ys * math.sin(theta) + (n_det - 1) / 2.0
+        recon += np.interp(t.ravel(), np.arange(n_det), filtered[i],
+                           left=0.0, right=0.0).reshape(size, size)
+    return recon * (math.pi / n_angles)
+
+
+def fill_ellipse_whole_grid(img, cy, cx, ry, rx, value, angle):
+    """_fill_ellipse's test on every pixel of the image: the oracle for its window."""
+    ys, xs = np.mgrid[0:img.shape[0], 0:img.shape[1]]
+    y, x = ys - cy, xs - cx
+    ca, sa = math.cos(angle), math.sin(angle)
+    u = (x * ca + y * sa) / rx
+    v = (-x * sa + y * ca) / ry
+    img[u * u + v * v <= 1.0] = value
+
+
+def metal_cases():
+    """(mu, mask): jaw phantoms at 32, 64 and 128 with their metal inserted, as
+    simulate_ma_pair projects them, and a disc cut by the image's corner, with
+    metal and without; without, the disc lies in air, where mu is zero."""
+    metal = simulate.MU_WATER * (1.0 + simulate.METAL_HU / 1000.0)
+    for size in (32, 64, 128):
+        rng = np.random.default_rng([21, size])
+        clean = jaw_phantom(size, rng)
+        mask = random_metal_mask(clean, rng)
+        yield np.where(mask, metal, hu_to_mu(clean)), mask
+    ys, xs = np.mgrid[0:64, 0:64]
+    corner = ys ** 2 + (xs - 3) ** 2 <= 30
+    body = hu_to_mu(jaw_phantom(64, np.random.default_rng(22)))
+    assert not body[corner].any()
+    yield np.where(corner, metal, body), corner
+    yield body, corner
+
+
 class TestRadonForward:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(data=st.data())
@@ -219,6 +268,18 @@ class TestRadonForward:
         with pytest.raises(ValueError, match="finite"):
             radon_forward(mu, SimParams(), 1.0)
 
+    def test_metal_trace_equals_projection_of_mask(self):
+        """The hits summed in the image's own pass equal the mask's separate
+        projection above 1e-9, and tracing leaves the sinogram's bytes alone,
+        also for a mask in air, whose pixels the image alone does not project."""
+        for mu, mask in metal_cases():
+            params, spacing = SimParams(), FIELD_MM / mu.shape[0]
+            traced = radon_forward(mu, params, spacing, traced=mask)
+            expected = radon_forward(mask.astype(float), params, spacing).values > 1e-9
+            np.testing.assert_array_equal(traced.hits, expected)
+            np.testing.assert_array_equal(traced.values, radon_forward(mu, params, spacing).values)
+            assert radon_forward(mu, params, spacing).hits is None
+
     def test_nonnegative_for_nonnegative_input(self):
         rng = np.random.default_rng(1)
         sino = radon_forward(rng.random((32, 32)), SimParams(n_angles=16), 1.0)
@@ -226,6 +287,24 @@ class TestRadonForward:
 
 
 class TestFBP:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(case=projector_cases())
+    def test_back_projection_equals_interp(self, case):
+        """The index-lookup back-projection repeats np.interp's to the bit."""
+        mu, params = case
+        sino = radon_forward(mu, params, 1.0)
+        size = mu.shape[0]
+        np.testing.assert_array_equal(fbp_reconstruct(sino, size), fbp_interp(sino, size))
+
+    def test_back_projection_equals_interp_on_jaw_phantom(self):
+        mu = hu_to_mu(jaw_phantom(128, np.random.default_rng(23)))
+        sino = radon_forward(mu, SimParams(), FIELD_MM / 128)
+        np.testing.assert_array_equal(fbp_reconstruct(sino, 128), fbp_interp(sino, 128))
+
+    def test_too_few_detectors_refused(self):
+        with pytest.raises(ValueError, match="24x24 needs 34 detectors, got 30"):
+            fbp_reconstruct(Sinogram(values=np.ones((16, 30)), spacing=1.0), 24)
+
     def test_zero_sinogram(self):
         sino = Sinogram(values=np.zeros((16, 40)), spacing=1.0)
         np.testing.assert_array_equal(fbp_reconstruct(sino, 24), 0.0)
@@ -289,8 +368,34 @@ class TestSimulateMAPair:
         with pytest.raises(ValueError):
             simulate_ma_pair(phantom, np.zeros((32, 32), bool))
 
+    def test_peak_memory(self, traced_memory):
+        """One 128² pair peaks at 2.24 MiB of numpy buffers and the phantom at
+        0.65 MiB; perfbench's synth run has little memory headroom."""
+        rng = np.random.default_rng(24)
+        clean = jaw_phantom(128, rng)
+        mask = random_metal_mask(clean, rng)
+        assert traced_memory(lambda: simulate_ma_pair(clean, mask))[2] <= 2.5 * 2 ** 20
+        assert traced_memory(lambda: jaw_phantom(128, rng))[2] <= 1.25 * 2 ** 20
+
 
 class TestPhantoms:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_windowed_fill_equals_whole_grid_fill(self, data):
+        """Ellipses anywhere, also clipped by the image or outside it, fill the
+        same pixels as the test on every pixel."""
+        size = data.draw(st.integers(8, 64), label="size")
+        centre = st.floats(-size / 2.0, 1.5 * size)
+        radius = st.floats(0.3, float(size))
+        cy, cx, ry, rx = (data.draw(s, label=k) for s, k in
+                          ((centre, "cy"), (centre, "cx"), (radius, "ry"), (radius, "rx")))
+        angle = data.draw(st.floats(0.0, 2.0 * math.pi), label="angle")
+        img = np.random.default_rng(size).uniform(HU_MIN, HU_MAX, (size, size))
+        expected = img.copy()
+        simulate._fill_ellipse(img, cy, cx, ry, rx, 1234.5, angle=angle)
+        fill_ellipse_whole_grid(expected, cy, cx, ry, rx, 1234.5, angle)
+        np.testing.assert_array_equal(img, expected)
+
     @pytest.mark.parametrize("size", range(8, 257, 8))
     def test_gaussian_blur_bit_equal_to_scipy(self, size):
         """The phantoms' numpy blur under both sigma rules (jaw_phantom's and
