@@ -15,7 +15,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import List, Optional, Tuple, Union
+from typing import Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -44,8 +44,8 @@ class SimParams:
     n_angles: int = 180
 
     def __post_init__(self):
-        if self.n_angles < 8:
-            raise ValueError("n_angles must be at least 8")
+        if type(self.n_angles) is not int or self.n_angles < 8:
+            raise ValueError(f"n_angles must be an int of at least 8, got {self.n_angles!r}")
 
 
 def hu_to_mu(hu: np.ndarray) -> np.ndarray:
@@ -78,6 +78,22 @@ def _shadow_tails(t: np.ndarray, narrow: float, wide: float, out: np.ndarray) ->
         out += edge
 
 
+# the square grid's reflections as views of an image
+_VIEWS = (lambda a: a, lambda a: a.T, lambda a: a.T[::-1], lambda a: a[:, ::-1])
+
+
+def _angle_orbits(n_angles: int) -> Iterator[Tuple[float, List[Tuple[int, int]]]]:
+    """The angles theta_k = k pi / n_angles as orbits (theta_i, [(k, v), ...]): at theta_k
+    the image has the pixel offsets that its view ``_VIEWS[v]`` has at theta_i. k is i,
+    h - i, h + i and n_angles - i (views 0-3) for n_angles = 2h and i <= h / 2, or i and
+    n_angles - i (views 0, 3) for odd n_angles and i <= n_angles / 2, less repeats and pi."""
+    h, odd = divmod(n_angles, 2)
+    for i in range(h + 1 if odd else h // 2 + 1):
+        ks = (i, n_angles, n_angles, n_angles - i) if odd else (i, h - i, h + i, n_angles - i)
+        members = [(k, v) for v, k in enumerate(ks) if k < n_angles and ks.index(k) == v]
+        yield i * math.pi / n_angles, members
+
+
 def radon_forward(mu: np.ndarray, params: SimParams, spacing: float,
                   traced: Optional[np.ndarray] = None) -> Sinogram:
     """Parallel-beam projections of ``mu`` as exact strip integrals.
@@ -96,10 +112,13 @@ def radon_forward(mu: np.ndarray, params: SimParams, spacing: float,
     strip's edges go to the outer two and the rest, at least half of it, to
     detector j. Every detector row sums to ``mu.sum() * spacing``; the
     corner pixels' shadows reach size / sqrt(2) from the centre, inside
-    the row's half-width n_det / 2. Zero pixels cost nothing. The image
-    must be finite: a line integral through an inf or NaN pixel means
-    nothing. A boolean image ``traced`` (the metal) adds ``hits``, the
-    rays where ``radon_forward(traced.astype(float), ...).values > 1e-9``,
+    the row's half-width n_det / 2. The weights depend only on the offsets
+    and the sorted (|cos theta|, |sin theta|), so each orbit of angles
+    (``_angle_orbits``) computes them once for its members' views of ``mu``;
+    pixels zero in every view cost nothing. The image must be finite: a
+    line integral through an inf or NaN pixel means nothing. A boolean
+    image ``traced`` of ``mu``'s shape (the metal) adds ``hits``, the rays
+    where ``radon_forward(traced.astype(float), ...).values > 1e-9``,
     summed in this pass from the same strip weights in the same order.
     """
     mu = np.asarray(mu, dtype=np.float64)
@@ -107,24 +126,28 @@ def radon_forward(mu: np.ndarray, params: SimParams, spacing: float,
         raise ValueError(f"expected a square image, got {mu.shape}")
     if not np.isfinite(mu).all():
         raise ValueError("radon_forward needs a finite image; it holds inf or NaN")
+    if traced is not None and (getattr(traced, "dtype", None) != bool or traced.shape != mu.shape):
+        raise ValueError(f"traced must be a boolean array of the image's shape {mu.shape}, "
+                         f"got {np.asarray(traced).dtype} of shape {np.shape(traced)}")
     size = mu.shape[0]
     n_det = _default_detectors(size)
-    rows, cols = np.nonzero(mu if traced is None else (mu != 0) | traced)
-    mass = mu[rows, cols] * spacing
+    orbits = list(_angle_orbits(params.n_angles))
+    views = sorted({v for _, members in orbits for _, v in members})
+    support = mu != 0 if traced is None else (mu != 0) | traced
+    rows, cols = np.nonzero(np.logical_or.reduce([_VIEWS[v](support) for v in views]))
+    mass = {v: _VIEWS[v](mu)[rows, cols] * spacing for v in views}
     center = (size - 1) / 2.0
     x, y = cols - center, rows - center
-    weights = np.empty((3, rows.size))
+    weights, scaled = np.empty((3, rows.size)), np.empty((3, rows.size))
     sino = np.empty((params.n_angles, n_det), dtype=np.float64)
-    picked = None if traced is None else np.flatnonzero(traced[rows, cols])
+    if traced is not None:
+        picked = {v: np.flatnonzero(_VIEWS[v](traced)[rows, cols]) for v in views}
     hits = None if traced is None else np.empty((params.n_angles, n_det), dtype=bool)
-    for i in range(params.n_angles):
-        theta = i * math.pi / params.n_angles
+    for theta, members in orbits:
         cos_t, sin_t = math.cos(theta), math.sin(theta)
-        # a pixel centre's detector coordinate plus 0.5: its floor is the
-        # detector j whose strip holds the centre, and j + 1 the index of
-        # that strip in a row padded with one detector at each end
-        offset = x * cos_t
-        offset += y * sin_t
+        # a pixel centre's detector coordinate plus 0.5: its floor is the detector j whose
+        # strip holds the centre, and j + 1 that strip's index in a row padded at each end
+        offset = x * cos_t + y * sin_t
         offset += n_det / 2.0
         near = np.floor(offset)
         offset -= near          # the centre's distance from the strip's lower edge
@@ -135,11 +158,13 @@ def radon_forward(mu: np.ndarray, params: SimParams, spacing: float,
         np.subtract(1.0, weights[0], out=weights[1])
         weights[1] -= weights[2]
         bins = near.astype(np.intp) + np.arange(3)[:, None]
-        if traced is not None:
-            hits[i] = np.bincount(bins[:, picked].ravel(), (weights[:, picked] * spacing).ravel(),
-                                  minlength=n_det + 2)[1:-1] > 1e-9
-        weights *= mass
-        sino[i] = np.bincount(bins.ravel(), weights.ravel(), minlength=n_det + 2)[1:-1]
+        for k, v in members:
+            if traced is not None:
+                p = picked[v]
+                hits[k] = np.bincount(bins[:, p].ravel(), (weights[:, p] * spacing).ravel(),
+                                      minlength=n_det + 2)[1:-1] > 1e-9
+            np.multiply(weights, mass[v], out=scaled)
+            sino[k] = np.bincount(bins.ravel(), scaled.ravel(), minlength=n_det + 2)[1:-1]
     return Sinogram(values=sino, spacing=spacing, hits=hits)
 
 
@@ -148,14 +173,15 @@ def _ramp_kernel(size: int) -> np.ndarray:
     kernel = np.zeros(size)
     kernel[0] = 0.25
     odd = np.arange(1, size // 2 + 1, 2)
-    kernel[odd] = -1.0 / (math.pi * odd) ** 2
-    kernel[-odd] = -1.0 / (math.pi * odd) ** 2
+    kernel[odd] = kernel[-odd] = -1.0 / (math.pi * odd) ** 2
     return kernel
 
 
 def fbp_reconstruct(sino: Sinogram, size: int) -> np.ndarray:
     """Ramp-filtered back-projection onto a size x size grid; returns attenuation in 1/mm.
-    A sinogram of fewer than ``_default_detectors(size)`` detectors is refused."""
+    A sinogram of fewer than ``_default_detectors(size)`` detectors is refused. As in
+    ``radon_forward``, each orbit of angles finds its detector coordinates once and
+    adds each member's interpolated row into that member's view of the image."""
     n_angles, n_det = sino.values.shape
     if n_det < _default_detectors(size):
         raise ValueError(f"{size}x{size} needs {_default_detectors(size)} detectors, got {n_det}")
@@ -163,29 +189,31 @@ def fbp_reconstruct(sino: Sinogram, size: int) -> np.ndarray:
     padded = max(64, 1 << int(math.ceil(math.log2(2 * n_det))))
     spectrum = np.fft.rfft(sino.values / sino.spacing, n=padded, axis=1)     # per-pixel units
     spectrum *= np.fft.rfft(_ramp_kernel(padded)).real
-    # a copy, so that only the (n_angles, n_det) filtered projections stay
-    # alive through the back-projection
+    # a copy, so that only the (n_angles, n_det) filtered rows stay alive through the loop
     filtered = np.fft.irfft(spectrum, n=padded, axis=1)[:, :n_det].copy()
     del spectrum
 
     axis = np.arange(size) - (size - 1) / 2.0
-    recon = np.zeros((size, size), dtype=np.float64)
+    # the image's views (_VIEWS), the transposed ones through a contiguous frame of their own
+    recon, recon_t = np.zeros((2, size, size))
+    frames = [recon, recon_t, recon_t[::-1], recon[:, ::-1]]
     t, low, high, j = (np.empty((size, size), dtype) for dtype in (float, float, float, np.intp))
-    for i, theta in enumerate(np.arange(n_angles) * math.pi / n_angles):
+    for theta, members in _angle_orbits(n_angles):
         np.add(axis * math.cos(theta), (axis * math.sin(theta))[:, None], out=t)
         t += (n_det - 1) / 2.0
         # with the detectors checked above, t lies in [0.207, n_det - 1.207]: j = int(t) is its
         # floor, below is np.interp's formula, and "clip" only skips the checked mode's copy
         np.copyto(j, t, casting="unsafe")
-        np.take(filtered[i], j, out=low, mode="clip")
-        np.take(filtered[i, 1:], j, out=high, mode="clip")
-        high -= low
-        high *= np.subtract(t, j, out=t)
-        high += low
-        recon += high
-    # the projections were rescaled to pixel-unit path lengths before
-    # filtering, so the back-projection already returns mu in 1/mm
-    return recon * (math.pi / n_angles)
+        np.subtract(t, j, out=t)
+        for k, v in members:
+            np.take(filtered[k], j, out=low, mode="clip")
+            np.take(filtered[k, 1:], j, out=high, mode="clip")
+            high -= low
+            high *= t
+            high += low
+            frames[v] += high
+    # the rows were rescaled to pixel-unit path lengths before filtering: this is mu in 1/mm
+    return (recon + recon_t.T) * (math.pi / n_angles)
 
 
 def simulate_ma_pair(clean: np.ndarray, metal_mask: np.ndarray) -> np.ndarray:
@@ -270,16 +298,13 @@ def jaw_phantom(size: int, rng: np.random.Generator) -> np.ndarray:
     arch_r = size * 0.26 * jitter(0.05)
     arch_cy = cy + size * 0.04
     n_teeth = int(rng.integers(8, 13))
-    tooth_angles = np.linspace(math.pi * 0.15, math.pi * 0.85, n_teeth)
-    for a in tooth_angles:
-        by = arch_cy + arch_r * math.sin(a) * 0.8
-        bx = cx + arch_r * math.cos(a)
-        _fill_ellipse(img, by, bx, size * 0.045, size * 0.045, rng.uniform(600.0, 1000.0))
-    for a in tooth_angles:
-        ty = arch_cy + arch_r * math.sin(a) * 0.8
-        tx = cx + arch_r * math.cos(a)
+    sockets = [(arch_cy + arch_r * math.sin(a) * 0.8, cx + arch_r * math.cos(a))
+               for a in np.linspace(math.pi * 0.15, math.pi * 0.85, n_teeth)]
+    for y, x in sockets:
+        _fill_ellipse(img, y, x, size * 0.045, size * 0.045, rng.uniform(600.0, 1000.0))
+    for y, x in sockets:        # then a tooth on each
         r_tooth = size * rng.uniform(0.022, 0.032)
-        _fill_ellipse(img, ty, tx, r_tooth, r_tooth * jitter(0.2),
+        _fill_ellipse(img, y, x, r_tooth, r_tooth * jitter(0.2),
                       rng.uniform(1400.0, 2400.0), angle=rng.uniform(0, math.pi))
     return np.clip(_gaussian_blur(img, max(0.6, size / 128.0)), HU_MIN, HU_MAX)
 
@@ -295,12 +320,11 @@ def random_metal_mask(hu: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     target = int(rng.integers(METAL_PIXELS[0], METAL_PIXELS[1] + 1))
     radius = max(1.9, math.sqrt(target / math.pi))
     ys, xs = np.mgrid[0:size, 0:size]
-    mask = (ys - cy) ** 2 + (xs - cx) ** 2 <= radius ** 2
+    dist2 = (ys - cy) ** 2 + (xs - cx) ** 2
     # grow until the in-bounds blob clears the floor
-    while mask.sum() < METAL_PIXELS[0]:
+    while (dist2 <= radius ** 2).sum() < METAL_PIXELS[0]:
         radius += 0.5
-        mask = (ys - cy) ** 2 + (xs - cx) ** 2 <= radius ** 2
-    return mask
+    return dist2 <= radius ** 2
 
 
 # -- dataset generation --------------------------------------------------------------
@@ -379,10 +403,10 @@ def _check_fields(path: Path, what: str, entry, cls) -> None:
 
 def load_manifest(data_dir: Union[str, Path]) -> DatasetManifest:
     """Read and validate a dataset's manifest: UTF-8 JSON with exactly
-    DatasetManifest's fields, an integer seed, a size that is a positive
+    DatasetManifest's fields, an integer seed >= 0, a size that is a positive
     multiple of 8 with the spacing ``FIELD_MM / size``, and ``n_pairs`` pairs
     that are what ``make_dataset`` writes (``_pair_record``) but for an
-    integer ``mask_pixel_count``."""
+    integer ``mask_pixel_count`` >= ``METAL_PIXELS[0]``."""
     path = Path(data_dir) / MANIFEST_NAME
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -396,8 +420,8 @@ def load_manifest(data_dir: Union[str, Path]) -> DatasetManifest:
     if json.dumps(payload["spacing"]) != json.dumps(FIELD_MM / size):
         raise ValueError(f"{path}: spacing {payload['spacing']!r} is not "
                          f"{FIELD_MM:g} / {size} = {FIELD_MM / size!r} mm")
-    if type(payload["seed"]) is not int:
-        raise ValueError(f"{path}: seed {payload['seed']!r} is not int")
+    if type(payload["seed"]) is not int or payload["seed"] < 0:
+        raise ValueError(f"{path}: seed {payload['seed']!r} is not an int >= 0")
     if not isinstance(pairs, list):
         raise ValueError(f"{path}: pairs is not a JSON list")
     if payload["n_pairs"] != len(pairs) or type(payload["n_pairs"]) is not int:
@@ -405,10 +429,11 @@ def load_manifest(data_dir: Union[str, Path]) -> DatasetManifest:
     records = []
     for i, entry in enumerate(pairs):
         _check_fields(path, f"pair {i}", entry, PairRecord)
-        if type(entry["mask_pixel_count"]) is not int:
-            raise ValueError(f"{path}: pair {i} mask_pixel_count "
-                             f"{entry['mask_pixel_count']!r} is not int")
-        record = _pair_record(i, len(pairs), entry["mask_pixel_count"])
+        count = entry["mask_pixel_count"]
+        if type(count) is not int or count < METAL_PIXELS[0]:
+            raise ValueError(f"{path}: pair {i} mask_pixel_count {count!r} is not an int "
+                             f">= {METAL_PIXELS[0]}")
+        record = _pair_record(i, len(pairs), count)
         for key, value in asdict(record).items():
             if json.dumps(entry[key]) != json.dumps(value):     # so 1.0 and true are not 1
                 raise ValueError(f"{path}: pair {i} {key} {entry[key]!r} is not {value!r}")

@@ -294,6 +294,18 @@ class TestEvalAndTrain:
         save_checkpoint(build_model(preset("T"), seed=1), ckpt)
         return ds, ckpt
 
+    def test_eval_negative_manifest_seed_refused(self, tmp_path, capsys):
+        """A manifest edited to seed -1, which make_dataset cannot write, is
+        refused with one error line naming the manifest."""
+        ds, ckpt = self._dataset_and_checkpoint(tmp_path, capsys)
+        manifest = json.loads((ds / "manifest.json").read_text())
+        (ds / "manifest.json").write_text(json.dumps({**manifest, "seed": -1}))
+        code, out, err = run(capsys, "eval", "--ckpt", str(ckpt), "--data", str(ds))
+        assert code == 1
+        assert err.startswith(f"error: {ds / 'manifest.json'}: seed -1")
+        assert len(err.strip().splitlines()) == 1
+        assert "mean," not in out
+
     def test_eval_non_finite_output_rejected(self, tmp_path, capsys):
         """A NaN head bias restores every slice to NaN; eval names the first pair
         instead of printing NaN metrics."""

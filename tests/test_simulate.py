@@ -132,19 +132,72 @@ def strip_areas(size, row, col, n_angles):
     return areas
 
 
-def fbp_interp(sino, size):
-    """fbp_reconstruct with np.interp's back-projection over a full coordinate
-    grid per angle, zero outside the detector row: the oracle for the
-    index-lookup loop."""
-    n_angles, n_det = sino.values.shape
+def radon_per_angle(mu, params, spacing, traced=None):
+    """radon_forward's strip weights computed afresh at every angle from its own cos
+    and sin, over the pixels non-zero in mu or traced: the oracle for the orbit loop.
+    Returns the sinogram values and the traced rays (None without ``traced``)."""
+    size = mu.shape[0]
+    n_det = _default_detectors(size)
+    rows, cols = np.nonzero(mu if traced is None else (mu != 0) | traced)
+    mass = mu[rows, cols] * spacing
+    x, y = cols - (size - 1) / 2.0, rows - (size - 1) / 2.0
+    weights = np.empty((3, rows.size))
+    sino = np.empty((params.n_angles, n_det))
+    picked = None if traced is None else np.flatnonzero(traced[rows, cols])
+    hits = None if traced is None else np.empty((params.n_angles, n_det), dtype=bool)
+    for i in range(params.n_angles):
+        theta = i * math.pi / params.n_angles
+        cos_t, sin_t = math.cos(theta), math.sin(theta)
+        offset = x * cos_t + y * sin_t + n_det / 2.0
+        near = np.floor(offset)
+        offset -= near
+        narrow, wide = sorted((abs(cos_t), abs(sin_t)))
+        simulate._shadow_tails(offset, narrow, wide, out=weights[0])
+        simulate._shadow_tails(1.0 - offset, narrow, wide, out=weights[2])
+        weights[1] = 1.0 - weights[0] - weights[2]
+        bins = near.astype(np.intp) + np.arange(3)[:, None]
+        if traced is not None:
+            hits[i] = np.bincount(bins[:, picked].ravel(), (weights[:, picked] * spacing).ravel(),
+                                  minlength=n_det + 2)[1:-1] > 1e-9
+        sino[i] = np.bincount(bins.ravel(), (weights * mass).ravel(), minlength=n_det + 2)[1:-1]
+    return sino, hits
+
+
+def ramp_filtered(sino):
+    """fbp_reconstruct's filtered rows: the projections in pixel units through the
+    zero-padded Ram-Lak ramp."""
+    n_det = sino.values.shape[1]
     padded = max(64, 1 << int(math.ceil(math.log2(2 * n_det))))
     spectrum = np.fft.rfft(sino.values / sino.spacing, n=padded, axis=1)
     spectrum *= np.fft.rfft(simulate._ramp_kernel(padded)).real
-    filtered = np.fft.irfft(spectrum, n=padded, axis=1)[:, :n_det]
-    center = (size - 1) / 2.0
-    ys, xs = np.mgrid[0:size, 0:size]
-    xs = xs - center
-    ys = ys - center
+    return np.fft.irfft(spectrum, n=padded, axis=1)[:, :n_det]
+
+
+def fbp_interp(sino, size):
+    """fbp_reconstruct with np.interp's back-projection over a full coordinate
+    grid, zero outside the detector row, in the orbit order of _angle_orbits: one
+    grid per orbit at its base angle, each member's row added into its view of the
+    image (the transposed views into a second frame, transposed at the end). The
+    oracle, to the bit, for the index-lookup loop."""
+    n_angles, n_det = sino.values.shape
+    filtered = ramp_filtered(sino)
+    ys, xs = np.mgrid[0:size, 0:size] - (size - 1) / 2.0
+    recon, recon_t = np.zeros((size, size)), np.zeros((size, size))
+    frames = [recon, recon_t, recon_t[::-1], recon[:, ::-1]]
+    for theta, members in simulate._angle_orbits(n_angles):
+        t = xs * math.cos(theta) + ys * math.sin(theta) + (n_det - 1) / 2.0
+        for k, v in members:
+            frames[v] += np.interp(t.ravel(), np.arange(n_det), filtered[k],
+                                   left=0.0, right=0.0).reshape(size, size)
+    return (recon + recon_t.T) * (math.pi / n_angles)
+
+
+def fbp_per_angle(sino, size):
+    """fbp_reconstruct as a plain loop over the angles, each with its own cos and sin
+    and np.interp on a full coordinate grid, zero outside the detector row."""
+    n_angles, n_det = sino.values.shape
+    filtered = ramp_filtered(sino)
+    ys, xs = np.mgrid[0:size, 0:size] - (size - 1) / 2.0
     recon = np.zeros((size, size))
     for i, theta in enumerate(np.arange(n_angles) * math.pi / n_angles):
         t = xs * math.cos(theta) + ys * math.sin(theta) + (n_det - 1) / 2.0
@@ -179,6 +232,33 @@ def metal_cases():
     assert not body[corner].any()
     yield np.where(corner, metal, body), corner
     yield body, corner
+
+
+class TestAngleOrbits:
+    def test_every_angle_in_exactly_one_orbit(self):
+        """For 8-400 angles the orbits split the angle indices, each once: for
+        180 angles into 44 orbits of four and {0, 90} and {45, 135}."""
+        for n_angles in range(8, 401):
+            members = [k for _, orbit in simulate._angle_orbits(n_angles) for k, _ in orbit]
+            assert sorted(members) == list(range(n_angles)), n_angles
+        sizes = [[k for k, _ in orbit] for _, orbit in simulate._angle_orbits(180)]
+        assert len(sizes) == 46 and [0, 90] in sizes and [45, 135] in sizes
+        assert sorted(map(len, sizes)) == [2, 2] + [4] * 44
+
+    def test_views_turn_the_base_angle_into_each_members(self):
+        """Read through a member's view, the pixels one step along x and along y
+        from the centre carry the base angle's (cos, sin) to the member's own,
+        math.cos and math.sin of k pi / n_angles, within 1e-15."""
+        ys, xs = np.mgrid[-1:2, -1:2]
+        for n_angles in range(8, 401):
+            for theta, orbit in simulate._angle_orbits(n_angles):
+                assert theta == orbit[0][0] * math.pi / n_angles
+                for k, v in orbit:
+                    vx, vy = simulate._VIEWS[v](xs), simulate._VIEWS[v](ys)
+                    cos_k = vx[1, 2] * math.cos(theta) + vx[2, 1] * math.sin(theta)
+                    sin_k = vy[1, 2] * math.cos(theta) + vy[2, 1] * math.sin(theta)
+                    assert abs(cos_k - math.cos(k * math.pi / n_angles)) <= 1e-15, (n_angles, k)
+                    assert abs(sin_k - math.sin(k * math.pi / n_angles)) <= 1e-15, (n_angles, k)
 
 
 class TestRadonForward:
@@ -280,6 +360,45 @@ class TestRadonForward:
             np.testing.assert_array_equal(traced.values, radon_forward(mu, params, spacing).values)
             assert radon_forward(mu, params, spacing).hits is None
 
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(case=projector_cases(), n_angles=st.integers(8, 41), density=st.sampled_from(
+        [0.0, 0.02, 0.3]), spacing=st.sampled_from([1.0, 2.5]))
+    def test_orbits_match_the_per_angle_loop(self, case, n_angles, density, spacing):
+        """The sinogram is within 1e-12 of the image's absolute mass of the weights
+        computed afresh at every angle, and the traced rays are the same, for angle
+        counts of every residue mod 4 and traces in and out of the image's support."""
+        mu, _ = case
+        traced = np.random.default_rng(n_angles).random(mu.shape) < density
+        params = SimParams(n_angles=n_angles)
+        got = radon_forward(mu, params, spacing, traced=traced)
+        values, hits = radon_per_angle(mu, params, spacing, traced=traced)
+        assert np.abs(got.values - values).max() <= 1e-12 * np.abs(mu).sum() * spacing
+        np.testing.assert_array_equal(got.hits, hits)
+
+    def test_orbits_match_the_per_angle_loop_on_metal_cases(self):
+        for mu, mask in metal_cases():
+            spacing = FIELD_MM / mu.shape[0]
+            got = radon_forward(mu, SimParams(), spacing, traced=mask)
+            values, hits = radon_per_angle(mu, SimParams(), spacing, traced=mask)
+            assert np.abs(got.values - values).max() <= 1e-12 * np.abs(mu).sum() * spacing
+            np.testing.assert_array_equal(got.hits, hits)
+
+    @pytest.mark.parametrize("traced", [np.zeros((1, 16), bool), np.zeros(16, bool),
+                                        np.zeros((16, 16)), np.zeros((16, 16), np.uint8),
+                                        [[False] * 16] * 16],
+                             ids=["row", "flat", "float", "uint8", "list"])
+    def test_trace_of_another_shape_or_type_refused(self, traced):
+        """``traced`` must be a boolean array of the image's shape; the error
+        names both shapes."""
+        with pytest.raises(ValueError, match=re.escape("image's shape (16, 16), got ")
+                           + ".*" + re.escape(f"of shape {np.shape(traced)}")):
+            radon_forward(np.zeros((16, 16)), SimParams(), 1.0, traced=traced)
+
+    @pytest.mark.parametrize("n_angles", [12.0, True, "12", None, 7])
+    def test_angle_count_must_be_an_int_of_at_least_8(self, n_angles):
+        with pytest.raises(ValueError, match=f"an int of at least 8, got {re.escape(repr(n_angles))}"):
+            SimParams(n_angles=n_angles)
+
     def test_nonnegative_for_nonnegative_input(self):
         rng = np.random.default_rng(1)
         sino = radon_forward(rng.random((32, 32)), SimParams(n_angles=16), 1.0)
@@ -300,6 +419,23 @@ class TestFBP:
         mu = hu_to_mu(jaw_phantom(128, np.random.default_rng(23)))
         sino = radon_forward(mu, SimParams(), FIELD_MM / 128)
         np.testing.assert_array_equal(fbp_reconstruct(sino, 128), fbp_interp(sino, 128))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(case=projector_cases())
+    def test_back_projection_near_plain_per_angle_loop(self, case):
+        """Within 1e-12 of the image's largest value of the np.interp loop over the
+        angles in order, each at its own cos and sin."""
+        mu, params = case
+        sino = radon_forward(mu, params, 1.0)
+        want = fbp_per_angle(sino, mu.shape[0])
+        assert np.abs(fbp_reconstruct(sino, mu.shape[0]) - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("n_angles", [180, 36, 18, 17])
+    def test_back_projection_near_plain_per_angle_loop_on_jaw_phantom(self, n_angles):
+        mu = hu_to_mu(jaw_phantom(128, np.random.default_rng(23)))
+        sino = radon_forward(mu, SimParams(n_angles=n_angles), FIELD_MM / 128)
+        want = fbp_per_angle(sino, 128)
+        assert np.abs(fbp_reconstruct(sino, 128) - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_too_few_detectors_refused(self):
         with pytest.raises(ValueError, match="24x24 needs 34 detectors, got 30"):
@@ -369,7 +505,7 @@ class TestSimulateMAPair:
             simulate_ma_pair(phantom, np.zeros((32, 32), bool))
 
     def test_peak_memory(self, traced_memory):
-        """One 128² pair peaks at 2.24 MiB of numpy buffers and the phantom at
+        """One 128² pair peaks at 2.26 MiB of numpy buffers and the phantom at
         0.65 MiB; perfbench's synth run has little memory headroom."""
         rng = np.random.default_rng(24)
         clean = jaw_phantom(128, rng)
@@ -471,7 +607,8 @@ class TestMakeDataset:
         a written manifest: load_manifest refuses it with a ValueError naming
         the manifest, unless the JSON is unchanged. The seed and a pair's
         mask_pixel_count record how the data were drawn, which the files cannot
-        confirm, so another integer there loads."""
+        confirm, so another integer there loads if make_dataset could have written
+        it: a seed >= 0 and a count of at least METAL_PIXELS[0]."""
         out = tmp_path / "ds"
         if not out.exists():
             make_dataset(3, 8, seed=4, out_dir=out)
@@ -496,12 +633,29 @@ class TestMakeDataset:
                 st.floats(allow_nan=False, allow_infinity=False),
                 st.lists(st.integers(0, 3), max_size=3)), label="value")
         (out / "manifest.json").write_text(json.dumps(edited))
-        unchecked = key in ("seed", "mask_pixel_count") and type(target.get(key)) is int
+        floor = {"seed": 0, "mask_pixel_count": simulate.METAL_PIXELS[0]}.get(key)
+        unchecked = floor is not None and type(target.get(key)) is int and target[key] >= floor
         if json.dumps(edited, sort_keys=True) == json.dumps(good, sort_keys=True) or unchecked:
             load_manifest(out)
         else:
             with pytest.raises(ValueError, match=re.escape(f"{out / 'manifest.json'}: ")):
                 load_manifest(out)
+
+    @pytest.mark.parametrize("where,key,value,needle", [
+        ("top", "seed", -1, "seed -1 is not an int >= 0"),
+        (0, "mask_pixel_count", -3, "pair 0 mask_pixel_count -3 is not an int >= 10"),
+        (2, "mask_pixel_count", 9, "pair 2 mask_pixel_count 9 is not an int >= 10"),
+    ], ids=["negative-seed", "negative-count", "count-below-floor"])
+    def test_values_make_dataset_cannot_write_refused(self, tmp_path, where, key, value, needle):
+        """A negative seed, or a pair with fewer metal pixels than simulate_ma_pair
+        accepts, is refused like every other manifest edit."""
+        out = tmp_path / "ds"
+        make_dataset(3, 8, seed=4, out_dir=out)
+        edited = json.loads((out / "manifest.json").read_text())
+        (edited if where == "top" else edited["pairs"][where])[key] = value
+        (out / "manifest.json").write_text(json.dumps(edited))
+        with pytest.raises(ValueError, match=re.escape(f"{out / 'manifest.json'}: {needle}")):
+            load_manifest(out)
 
     @pytest.mark.parametrize("text", [b"{not json", b'{"size": "\xff"}', b"[" * 100_000],
                              ids=["not-json", "not-utf8", "nested"])
